@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 from typing import Any, Dict, List, Optional
@@ -25,14 +24,6 @@ def _fmt(x: Optional[float]) -> str:
     if x is None:
         return ""
     return f"{x:.12g}"
-
-
-def _env_threads() -> int:
-    raw = os.environ.get("GLDPC_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _write_text(path: Optional[str], text: str) -> None:
@@ -136,8 +127,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         print("notice: ignoring the spec's 'lambda' block for sweep", file=sys.stderr)
     grid = _parse_grid(args.gamma_grid)
     points = growth.two_type_sweep(
-        spec.mixture.types[0], spec.mixture.types[1], view.q, grid,
-        threads=_env_threads(),
+        spec.mixture.types[0], spec.mixture.types[1], view.q, grid
     )
     lines = ["gamma1,rho1,design_rate,critical_ratio,verdict,delta_gv"]
     for p in points:
@@ -172,8 +162,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
     spec = load_spec_file(args.spec)
     view = _select_view(spec, args.ensemble)
     stats = sampler.estimate_dmin_stats(
-        view, args.n, args.trials, args.alpha, args.seed,
-        threads=_env_threads(),
+        view, args.n, args.trials, args.alpha, args.seed
     )
     measurable = stats.trials - stats.count_k_over_limit
     record: Dict[str, Any] = {

@@ -8,7 +8,6 @@ aggregates do not depend on scheduling or thread count).
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -19,6 +18,7 @@ from . import gf2
 from .ensemble import (
     UnstructuredEnsemble,
     VnRegularEnsemble,
+    _env_threads,
     validate_finite_instance,
 )
 from .gf2 import DimensionLimitError
@@ -315,11 +315,3 @@ def estimate_dmin_stats(
         wilson_ci_le_threshold=wilson_interval(le_count, measurable),
         seed=rng_seed,
     )
-
-
-def _env_threads() -> int:
-    raw = os.environ.get("GLDPC_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1

@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +11,7 @@ from gldpc.ensemble import CheckNodeType, CnMixture, VnRegularEnsemble
 from gldpc.growth import (
     VERDICT_EXISTS,
     VERDICT_NOT_EXISTS,
+    _growth_curve,
     edge_weight_limit,
     find_critical_ratio,
     growth_rate,
@@ -304,3 +306,116 @@ class TestAgainstExtendedPrecision:
                 w * mp.log(a_val(cs, z)) for w, cs in types
             )
         assert got == pytest.approx(float(ref), abs=1e-12)
+
+
+def mp_growth_curve(types, q):
+    """alpha(t) and G(t) at mpmath precision; types are (rho_i/s_i, WEF coeffs)."""
+
+    def at(t):
+        z = mp.exp(t)
+        alpha = tilt = mp.mpf(0)
+        for w, cs in types:
+            a_val = mp.fsum(c * z ** u for u, c in enumerate(cs) if c)
+            z_ap = mp.fsum(u * c * z ** u for u, c in enumerate(cs) if c and u)
+            alpha += w * z_ap / a_val
+            tilt += w * mp.log(a_val)
+        h = -alpha * mp.log(alpha) - (1 - alpha) * mp.log(1 - alpha)
+        return alpha, (1 - q) * h - q * alpha * t + q * tilt
+
+    return at
+
+
+def mp_weights(m):
+    return [(mp.mpf(r.numerator) / r.denominator / t.s, t.wef.coeffs)
+            for t, r in zip(m.types, m.rho)]
+
+
+def mp_first_root(m, q, t_lo=-6, t_hi=0):
+    """Relative weight at the first sign change of G(t) on a 1/4 grid in t,
+    bisected at 40 digits."""
+    with mp.workdps(40):
+        at = mp_growth_curve(mp_weights(m), q)
+        lo = mp.mpf(t_lo)
+        assert at(lo)[1] < 0
+        hi = lo + mp.mpf(1) / 4
+        while at(hi)[1] < 0:
+            lo, hi = hi, hi + mp.mpf(1) / 4
+            assert hi <= t_hi
+        for _ in range(80):
+            mid = (lo + hi) / 2
+            if at(mid)[1] < 0:
+                lo = mid
+            else:
+                hi = mid
+        return float(at(lo)[0])
+
+
+class TestTiltParametrization:
+    @given(
+        st.sampled_from([("spc3", "spc6"), ("spc3", "ham7"), ("spc3", "ham15"),
+                         ("spc6", "ham7"), ("spc6", "ham15"), ("ham7", "ham15")]),
+        st.integers(1, 9),
+        st.sampled_from([2, 3]),
+        st.floats(-8, 8),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_alpha_and_growth_match_mpmath(self, request, names, tenths, q, t):
+        types = [request.getfixturevalue(n) for n in names]
+        m = mixture_of((types[0], Fraction(tenths, 10)), (types[1], Fraction(10 - tenths, 10)))
+        alpha, g, dg, _ = _growth_curve(VnRegularEnsemble(mixture=m, q=q), np.array([t]))
+        with mp.workdps(40):
+            at = mp_growth_curve(mp_weights(m), q)
+            ref_alpha, ref_g = at(mp.mpf(t))
+            ref_dg = mp.diff(lambda x: at(x)[1], mp.mpf(t))
+        assert alpha[0] == pytest.approx(float(ref_alpha), rel=1e-12)
+        assert g[0] == pytest.approx(float(ref_g), rel=1e-10, abs=1e-12)
+        # the slope sums E[u^2] - E[u]^2, which cancels as alpha nears its limit
+        assert dg[0] == pytest.approx(float(ref_dg), rel=1e-5, abs=1e-12)
+
+
+class TestRootCertification:
+    @pytest.mark.parametrize(
+        "key,types,rho,q",
+        [
+            ("q3_spc6", ["spc6"], [1], 3),
+            ("q2_ham15", ["ham15"], [1], 2),
+            ("q2_ham7", ["ham7"], [1], 2),
+            ("q3_spc6_ham15", ["spc6", "ham15"], ["1/2", "1/2"], 3),
+        ],
+    )
+    def test_oracle_roots_to_1e9(self, key, types, rho, q, request):
+        resolved = [request.getfixturevalue(t) for t in types]
+        curve = find_critical_ratio(
+            VnRegularEnsemble(mixture=CnMixture.of(resolved, rho), q=q)
+        )
+        assert curve.root_located
+        assert abs(curve.critical_ratio - ORACLE_ROOTS[key]) <= 1e-9
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 7, 8, 16])
+    def test_weight2_density_near_one(self, ham7, k):
+        # with rho_spc2 -> 1 the ensemble tends to a cycle code, whose growth
+        # rate is 0 everywhere: the whole curve is O(1 - density), and at
+        # k = 16 it is rounding noise near alpha = 0
+        rho = 1 - Fraction(1, 10 ** k)
+        m = mixture_of((CheckNodeType.spc(2), rho), (ham7, 1 - rho))
+        curve = find_critical_ratio(VnRegularEnsemble(mixture=m, q=2))
+        if k <= 6:
+            assert curve.verdict == VERDICT_EXISTS and curve.root_located
+            assert abs(curve.critical_ratio - mp_first_root(m, 2)) <= 1e-6
+        else:
+            assert not (curve.root_located and curve.critical_ratio < 0.1)
+
+    def test_diagnostics(self, gallager_3_6, ham7, spc3_mixture):
+        curve = find_critical_ratio(gallager_3_6, root_tol=1e-10)
+        lo, hi = curve.bracket
+        assert lo <= curve.critical_ratio <= hi
+        assert 0 < hi - lo <= 2e-10
+        assert abs(curve.residual) <= 1e-14
+        assert curve.sign_changes >= 1
+        saturated = find_critical_ratio(
+            VnRegularEnsemble(mixture=CnMixture.of([ham7], [1]), q=3)
+        )
+        assert saturated.bracket is None and saturated.residual is None
+        assert saturated.sign_changes == 0
+        dense = find_critical_ratio(VnRegularEnsemble(mixture=spc3_mixture, q=2))
+        assert dense.bracket is None and dense.residual is None
