@@ -2,8 +2,7 @@
 
 Subcommands: analyze, sweep, sample, coef-convergence. Outputs are JSON or
 CSV with fixed schemas ('.' decimals, 12 significant digits). Exit codes:
-0 success, 2 validation error, 3 I/O error. GLDPC_THREADS caps worker
-parallelism for sweeps and Monte Carlo trials.
+0 success, 2 validation error, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -104,7 +103,7 @@ def _parse_grid(text: str) -> List[Fraction]:
     try:
         a_s, b_s, step_s = text.split(":")
         a, b, step = (ensemble.to_fraction(x) for x in (a_s, b_s, step_s))
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise SpecFileError(f"--gamma-grid: expected 'a:b:step', got {text!r}") from exc
     if step <= 0 or b < a:
         raise SpecFileError(f"--gamma-grid: need a <= b and step > 0, got {text!r}")
@@ -159,6 +158,8 @@ def _select_view(spec: SpecFile, flag: Optional[str]):
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
+    if not math.isfinite(args.alpha):
+        raise SpecFileError(f"--alpha must be finite, got {args.alpha}")
     spec = load_spec_file(args.spec)
     view = _select_view(spec, args.ensemble)
     stats = sampler.estimate_dmin_stats(

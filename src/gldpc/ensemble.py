@@ -10,7 +10,6 @@ finite-instance divisibility checks never suffer float noise.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -21,15 +20,6 @@ from .polywef import Wef
 RationalLike = Union[int, str, float, Fraction]
 
 SUM_TOL = 1e-12
-
-
-def _env_threads() -> int:
-    """Worker count from GLDPC_THREADS: 1 when unset, unparsable or below 1."""
-    raw = os.environ.get("GLDPC_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def to_fraction(x: RationalLike) -> Fraction:

@@ -10,7 +10,6 @@ finite.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -22,7 +21,6 @@ from .ensemble import (
     CheckNodeType,
     CnMixture,
     VnRegularEnsemble,
-    _env_threads,
     design_rate,
     to_fraction,
     weight_two_density_exact,
@@ -362,19 +360,14 @@ def two_type_sweep(
     type_b: CheckNodeType,
     q: int,
     gamma_grid: Sequence[Fraction | float],
-    threads: Optional[int] = None,
 ) -> List[SweepPoint]:
     """Rate / critical-ratio curve as the node fraction of type_a sweeps [0, 1].
 
-    Grid points may run in parallel; output order always follows the grid.
+    One point per grid value, in grid order.
     """
     grid = [to_fraction(g) for g in gamma_grid]
     if any(g < 0 or g > 1 for g in grid):
         raise ValueError("node-fraction grid values must lie in [0, 1]")
-    workers = threads if threads is not None else _env_threads()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda g: _sweep_point(type_a, type_b, q, g), grid))
     return [_sweep_point(type_a, type_b, q, g) for g in grid]
 
 

@@ -195,17 +195,13 @@ def macwilliams(w: Wef) -> Wef:
     B(z) = 2^-k sum_u A_u (1-z)^u (1+z)^(s-u); every division is exact.
     """
     s = w.length
-    plus = [ONE]
-    minus = [ONE]
-    for _ in range(s):
-        plus.append(poly_mul(plus[-1], (1, 1)))
-        minus.append(poly_mul(minus[-1], (1, -1)))
     acc = [0] * (s + 1)
     for u, a in enumerate(w.coeffs):
         if a == 0:
             continue
-        term = poly_mul(minus[u], plus[s - u])
-        for i, t in enumerate(term):
+        minus = [(-1) ** j * math.comb(u, j) for j in range(u + 1)]
+        plus = [math.comb(s - u, j) for j in range(s - u + 1)]
+        for i, t in enumerate(poly_mul(minus, plus)):
             acc[i] += a * t
     scale = 1 << w.dim
     coeffs = []

@@ -1,14 +1,13 @@
 """Finite code instances sampled from either ensemble, with exact checks.
 
 Sampling is deterministic given a 64-bit seed (numpy PCG64 seeded through
-SeedSequence; per-trial seeds are derived with spawn keys, so Monte Carlo
-aggregates do not depend on scheduling or thread count).
+SeedSequence; each trial's seed is derived from the base seed with its own
+spawn key, so Monte Carlo aggregates are identical across runs).
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -18,7 +17,6 @@ from . import gf2
 from .ensemble import (
     UnstructuredEnsemble,
     VnRegularEnsemble,
-    _env_threads,
     validate_finite_instance,
 )
 from .gf2 import DimensionLimitError
@@ -279,26 +277,18 @@ def estimate_dmin_stats(
     alpha_threshold: float,
     rng_seed: int,
     k_limit: int = DEFAULT_K_LIMIT,
-    threads: Optional[int] = None,
 ) -> DminStats:
     """Sample `trials` codes and count weight-1 / small-distance events.
 
-    Per-trial seeds derive from rng_seed, so results are independent of
-    thread count and identical across runs.
+    Per-trial seeds derive from rng_seed, so results are identical across
+    runs.
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     validate_finite_instance(spec, n)
     threshold_d = math.floor(alpha_threshold * n)
-    seeds = [_trial_seed(rng_seed, i) for i in range(trials)]
-    workers = threads if threads is not None else _env_threads()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(lambda s: _run_trial(spec, n, s, threshold_d, k_limit), seeds)
-            )
-    else:
-        results = [_run_trial(spec, n, s, threshold_d, k_limit) for s in seeds]
+    results = [_run_trial(spec, n, _trial_seed(rng_seed, i), threshold_d, k_limit)
+               for i in range(trials)]
     eq_one = sum(1 for one, _ in results if one)
     over = sum(1 for _, le in results if le is None)
     le_count = sum(1 for _, le in results if le)

@@ -149,6 +149,11 @@ class TestSweep:
         assert run(["sweep", spec_path("mixed_spc3_hamming7_q2.json"),
                     "--gamma-grid", "0:1", "--out", str(tmp_path / "x.csv")]) == 2
 
+    def test_zero_denominator_grid(self, tmp_path, capsys):
+        assert run(["sweep", spec_path("mixed_spc3_hamming7_q2.json"),
+                    "--gamma-grid", "0:1:1/0", "--out", str(tmp_path / "x.csv")]) == 2
+        assert "--gamma-grid" in capsys.readouterr().err
+
 
 class TestSample:
     def test_byte_identical_runs_and_thread_counts(self, tmp_path, monkeypatch):
@@ -162,6 +167,13 @@ class TestSample:
                         "--out", str(out)]) == 0
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1] == outputs[2]
+
+    @pytest.mark.parametrize("alpha", ["inf", "-inf", "nan"])
+    def test_non_finite_alpha_rejected(self, tmp_path, capsys, alpha):
+        assert run(["sample", spec_path("alldeg2_spc3.json"), "--n", "30",
+                    "--trials", "5", f"--alpha={alpha}", "--seed", "1",
+                    "--out", str(tmp_path / "x.json")]) == 2
+        assert "--alpha" in capsys.readouterr().err
 
     def test_divisibility_failure_suggests_length(self, tmp_path, capsys):
         assert run(["sample", spec_path("bound_mix.json"), "--n", "200",

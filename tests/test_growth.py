@@ -237,12 +237,6 @@ class TestSweep:
         # rho_1 = gamma_1 s_1 / (gamma_1 s_1 + gamma_2 s_2) = 3/10
         assert point.rho1 == pytest.approx(0.3, abs=1e-15)
 
-    def test_parallel_matches_serial(self, ham7, ham15):
-        grid = [Fraction(i, 4) for i in range(5)]
-        serial = two_type_sweep(ham7, ham15, 2, grid, threads=1)
-        parallel = two_type_sweep(ham7, ham15, 2, grid, threads=4)
-        assert serial == parallel
-
     def test_rejects_out_of_range(self, ham7, ham15):
         with pytest.raises(ValueError):
             two_type_sweep(ham7, ham15, 2, [Fraction(3, 2)])

@@ -164,7 +164,7 @@ class TestParityMatrix:
 
 
 class TestMacWilliams:
-    @pytest.mark.parametrize("s", [7, 15, 31, 63])
+    @pytest.mark.parametrize("s", [7, 15, 31, 63, 127, 255, 511])
     def test_simplex_dual_is_hamming(self, s):
         assert macwilliams(simplex_wef(s)) == wef_hamming(s)
 
@@ -172,7 +172,7 @@ class TestMacWilliams:
         zero = Wef.from_coeffs((1, 0, 0, 0), length=3)
         assert macwilliams(zero).coeffs == (1, 3, 3, 1)
 
-    @pytest.mark.parametrize("s", [3, 7, 15])
+    @pytest.mark.parametrize("s", [3, 7, 15, 31, 63])
     def test_involution(self, s):
         w = wef_hamming(s)
         assert macwilliams(macwilliams(w)) == w

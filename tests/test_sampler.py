@@ -227,11 +227,6 @@ class TestStats:
         assert stats.count_eq_one in (0, 1)
         assert stats.count_le_threshold in (0, 1)
 
-    def test_deterministic_across_threads(self, bound_mix_ensemble):
-        a = estimate_dmin_stats(bound_mix_ensemble, 147, 40, 0.02, 31, threads=1)
-        b = estimate_dmin_stats(bound_mix_ensemble, 147, 40, 0.02, 31, threads=4)
-        assert a == b
-
     def test_no_degree_two_means_no_unit_distance(self, spc3_mixture):
         spec = UnstructuredEnsemble.of(spc3_mixture, {3: 1})
         stats = estimate_dmin_stats(spec, 30, 200, 1 / 30, 17)
