@@ -19,6 +19,10 @@ from .ensemble import DivisibilityError
 from .specfile import SpecFile, SpecFileError, load_spec_file
 
 
+#: Most points --gamma-grid may hold; a larger grid exits 2 before any is built.
+MAX_GRID_POINTS = 10_001
+
+
 def _fmt(x: Optional[float]) -> str:
     if x is None:
         return ""
@@ -107,12 +111,11 @@ def _parse_grid(text: str) -> List[Fraction]:
         raise SpecFileError(f"--gamma-grid: expected 'a:b:step', got {text!r}") from exc
     if step <= 0 or b < a:
         raise SpecFileError(f"--gamma-grid: need a <= b and step > 0, got {text!r}")
-    grid = []
-    g = a
-    while g <= b:
-        grid.append(g)
-        g += step
-    return grid
+    count = (b - a) // step + 1
+    if count > MAX_GRID_POINTS:
+        raise SpecFileError(f"--gamma-grid: {text!r} has {count} points, "
+                            f"more than the cap of {MAX_GRID_POINTS}")
+    return [a + i * step for i in range(count)]
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -248,7 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="two-type mixture sweep as CSV")
     p.add_argument("spec")
-    p.add_argument("--gamma-grid", default="0:1:0.05", help="a:b:step node fractions")
+    p.add_argument("--gamma-grid", default="0:1:0.05",
+                   help=f"a:b:step node fractions, at most {MAX_GRID_POINTS} points")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep)
 

@@ -73,9 +73,10 @@ class CheckNodeType:
                 raise ValueError(
                     f"parity matrix has {len(self.parity)} rows, expected {s - k}"
                 )
-            if gf2.rank(self.parity, s) != s - k:
+            derived = polywef.wef_from_parity_matrix(self.parity, s)
+            if derived.dim != k:
                 raise ValueError("parity matrix is rank deficient")
-            if polywef.wef_from_parity_matrix(self.parity, s) != self.wef:
+            if derived != self.wef:
                 raise ValueError("parity matrix does not match the stated WEF")
 
     @property
@@ -100,9 +101,9 @@ class CheckNodeType:
 
     @classmethod
     def explicit(cls, rows: Sequence[int], n_cols: int) -> "CheckNodeType":
-        wef = polywef.wef_from_parity_matrix(rows, n_cols)
-        pivots, reduced = gf2.row_reduce(rows, n_cols)
-        return cls(wef=wef, parity=tuple(reduced))
+        echelon = gf2.row_reduce(rows, n_cols)[1]
+        return cls(wef=polywef.wef_from_parity_matrix(echelon, n_cols),
+                   parity=tuple(echelon))
 
 
 @dataclass(frozen=True)

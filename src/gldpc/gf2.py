@@ -1,8 +1,11 @@
-"""GF(2) linear algebra on int bitsets (bit i of a row = column i)."""
+"""GF(2) linear algebra on int bitsets (bit i of a row = column i).
+
+One XOR-basis elimination (`row_reduce`) gives echelon rows, rank and null space.
+"""
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 
 class DimensionLimitError(ValueError):
@@ -32,46 +35,49 @@ def bits_to_string(mask: int, n_cols: int) -> str:
 
 
 def row_reduce(rows: Sequence[int], n_cols: int) -> Tuple[List[int], List[int]]:
-    """Reduced row echelon form. Returns (pivot columns, nonzero reduced rows)."""
-    work = [r for r in rows if r]
-    pivots: List[int] = []
-    reduced: List[int] = []
-    for col in range(n_cols):
-        pivot_row = None
-        for i, r in enumerate(work):
-            if (r >> col) & 1:
-                pivot_row = work.pop(i)
+    """Echelon form by XOR basis: (pivot columns ascending, one row per pivot).
+
+    Each row is XORed with the basis row of its top set bit until that bit is
+    new; the row for pivot p has top bit p and may keep lower pivot bits.
+    """
+    basis: Dict[int, int] = {}
+    for r in rows:
+        while r:
+            top = r.bit_length() - 1
+            b = basis.get(top)
+            if b is None:
+                basis[top] = r
                 break
-        if pivot_row is None:
-            continue
-        for i, r in enumerate(work):
-            if (r >> col) & 1:
-                work[i] = r ^ pivot_row
-        reduced = [r ^ pivot_row if (r >> col) & 1 else r for r in reduced]
-        reduced.append(pivot_row)
-        pivots.append(col)
-        work = [r for r in work if r]
-    return pivots, reduced
+            r ^= b
+    pivots = sorted(basis)
+    return pivots, [basis[p] for p in pivots]
 
 
 def rank(rows: Sequence[int], n_cols: int) -> int:
     return len(row_reduce(rows, n_cols)[0])
 
 
-def nullspace_basis(rows: Sequence[int], n_cols: int) -> List[int]:
-    """Basis of the right null space {v : row . v = 0 for all rows}."""
-    pivots, reduced = row_reduce(rows, n_cols)
+def echelon_nullspace(pivots: Sequence[int], echelon: Sequence[int],
+                      n_cols: int) -> List[int]:
+    """Null-space basis from `row_reduce` output: for each free column f, x_f = 1,
+    other free bits 0, and x_p = parity(row_p & x) for pivots p in ascending order.
+    """
     pivot_set = set(pivots)
     basis = []
     for free in range(n_cols):
         if free in pivot_set:
             continue
         v = 1 << free
-        for pcol, prow in zip(pivots, reduced):
-            if (prow >> free) & 1:
-                v |= 1 << pcol
+        for p, row in zip(pivots, echelon):
+            if (row & v).bit_count() & 1:
+                v |= 1 << p
         basis.append(v)
     return basis
+
+
+def nullspace_basis(rows: Sequence[int], n_cols: int) -> List[int]:
+    """Basis of the right null space {v : row . v = 0 for all rows}."""
+    return echelon_nullspace(*row_reduce(rows, n_cols), n_cols)
 
 
 def span_weight_histogram(basis: Sequence[int], n_cols: int) -> List[int]:

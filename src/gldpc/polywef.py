@@ -166,27 +166,16 @@ def wef_from_parity_matrix(
     Enumerates whichever of the code and its dual has smaller dimension
     and applies the MacWilliams transform if the dual was enumerated.
     """
-    pivots, reduced = gf2.row_reduce(rows, n_cols)
+    pivots, echelon = gf2.row_reduce(rows, n_cols)
     r = len(pivots)
     k = n_cols - r
     if min(k, r) > max_dim:
         raise DimensionLimitError(min(k, r), max_dim, "null-space enumeration")
     if k <= r:
-        hist = gf2.span_weight_histogram(gf2.nullspace_basis(rows, n_cols), n_cols)
-        return Wef(coeffs=poly_with_len(hist, n_cols), length=n_cols, dim=k,
-                   min_dist=_first_nonzero(hist))
-    dual_hist = gf2.span_weight_histogram(reduced, n_cols)
-    dual = Wef(coeffs=poly_with_len(dual_hist, n_cols), length=n_cols, dim=r,
-               min_dist=_first_nonzero(dual_hist))
+        basis = gf2.echelon_nullspace(pivots, echelon, n_cols)
+        return Wef.from_coeffs(gf2.span_weight_histogram(basis, n_cols), n_cols)
+    dual = Wef.from_coeffs(gf2.span_weight_histogram(echelon, n_cols), n_cols)
     return macwilliams(dual)
-
-
-def poly_with_len(hist: Sequence[int], length: int) -> IntPoly:
-    return tuple(hist) + (0,) * (length + 1 - len(hist))
-
-
-def _first_nonzero(hist: Sequence[int]) -> Optional[int]:
-    return next((u for u in range(1, len(hist)) if hist[u]), None)
 
 
 def macwilliams(w: Wef) -> Wef:
@@ -212,8 +201,7 @@ def macwilliams(w: Wef) -> Wef:
                 f"inconsistent input WEF: inexact division at weight {u}"
             )
         coeffs.append(q)
-    return Wef(coeffs=tuple(coeffs), length=s, dim=s - w.dim,
-               min_dist=_first_nonzero(coeffs))
+    return Wef.from_coeffs(coeffs, s)
 
 
 def log_eval(w: Wef, z: float) -> float:

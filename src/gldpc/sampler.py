@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -197,21 +197,13 @@ def min_distance(code: SampledCode, k_limit: int = DEFAULT_K_LIMIT
 
 
 def has_weight_one_codeword(code: SampledCode) -> bool:
-    """True iff setting a single VN to 1 satisfies every incident CN.
-
-    Checked locally per VN: each CN touching the VN must accept the local
-    word supported exactly on that VN's positions.
+    """True iff some column of the stacked parity-check matrix is zero: its VN
+    touches no CN, or every CN row sees it an even number of times.
     """
-    incidence: Dict[int, Dict[int, int]] = {}
-    for ci, (t, sockets) in enumerate(code.cns):
-        for p, v in enumerate(sockets):
-            incidence.setdefault(v, {})
-            incidence[v][ci] = incidence[v].get(ci, 0) | (1 << p)
-    for v, touched in incidence.items():
-        if all(_satisfies(code, code.cns[ci][0], word)
-               for ci, word in touched.items()):
-            return True
-    return False
+    covered = 0
+    for row in global_parity_rows(code):
+        covered |= row
+    return covered != (1 << code.n) - 1
 
 
 def wilson_interval(count: int, total: int, z: float = 1.959963984540054

@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from gldpc.cli import main
+from gldpc.cli import MAX_GRID_POINTS, _parse_grid, main
 from gldpc.specfile import (
     SpecFileError,
     load_spec_file,
@@ -145,9 +145,17 @@ class TestSweep:
         assert abs(float(first.split(",")[2]) - (1 - 2 * 3 / 7)) < 1e-12
         assert last.split(",")[4].startswith("not_exists")
 
-    def test_bad_grid(self, tmp_path):
+    @pytest.mark.parametrize("grid", ["0:1", "0:1:1e-9", "0:1e9:1"])
+    def test_bad_grid(self, tmp_path, capsys, grid):
+        # the two oversized grids are refused from their point count alone
         assert run(["sweep", spec_path("mixed_spc3_hamming7_q2.json"),
-                    "--gamma-grid", "0:1", "--out", str(tmp_path / "x.csv")]) == 2
+                    "--gamma-grid", grid, "--out", str(tmp_path / "x.csv")]) == 2
+        assert "--gamma-grid" in capsys.readouterr().err
+
+    def test_grid_cap_is_inclusive(self):
+        assert len(_parse_grid("0:1:1/10000")) == MAX_GRID_POINTS
+        with pytest.raises(SpecFileError, match=str(MAX_GRID_POINTS)):
+            _parse_grid("0:1:1/10001")
 
     def test_zero_denominator_grid(self, tmp_path, capsys):
         assert run(["sweep", spec_path("mixed_spc3_hamming7_q2.json"),

@@ -75,6 +75,10 @@ class TestMixtureValidation:
         with pytest.raises(ValueError, match="does not match"):
             CheckNodeType(wef=spc3.wef, parity=(0b011,))
 
+    def test_parity_rank_deficient(self, spc3):
+        with pytest.raises(ValueError, match="rank deficient"):
+            CheckNodeType(wef=spc3.wef, parity=(0,))
+
 
 class TestScalarParameters:
     def test_cns_per_edge_single(self, spc3_mixture):

@@ -204,6 +204,14 @@ class TestWeightOne:
         assert has_weight_one_codeword(code)
         assert is_codeword(code, [1, 0, 0])
 
+    def test_vn_without_sockets(self, spc3):
+        # VN 3 touches no CN, so the unit vector on it is a codeword
+        code = make_code([spc3], [(0, (0, 1, 2))], 4)
+        assert code.vn_degrees == (1, 1, 1, 0)
+        assert is_codeword(code, [0, 0, 0, 1])
+        assert min_distance(code) == 1
+        assert has_weight_one_codeword(code)
+
     def test_distinct_cns_block_weight_one(self, spc3_mixture):
         spec = VnRegularEnsemble(mixture=spc3_mixture, q=2)
         code = sample_vn_regular(spec, 3, 42)
