@@ -3,7 +3,6 @@
 from .bounds import (
     CoefConvergence,
     UnionBound,
-    central_binomial_series,
     even_coef_convergence,
     even_coef_exact,
     even_coef_limit,
@@ -45,7 +44,6 @@ from .growth import (
 from .polywef import (
     Wef,
     coef,
-    log_eval,
     macwilliams,
     poly_mul,
     poly_pow,

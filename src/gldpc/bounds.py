@@ -136,21 +136,6 @@ def min_distance_prob_bound(spec: UnstructuredEnsemble) -> UnionBound:
     return UnionBound(value=1.0 / math.sqrt(1.0 - x) - 1.0, vacuous=False, product=x)
 
 
-def central_binomial_series(x: float, rtol: float = 1e-14,
-                            max_terms: int = 100_000) -> float:
-    """sum_{j>=1} binom(2j, j) x**j by adaptive truncation (|x| < 1/4)."""
-    if not abs(x) < 0.25:
-        raise ValueError(f"series diverges for |x| >= 1/4, got {x}")
-    total = 0.0
-    term = 1.0
-    for j in range(1, max_terms + 1):
-        term *= x * (4 - 2 / j)
-        total += term
-        if abs(term) <= rtol * max(abs(total), 1e-300):
-            break
-    return total
-
-
 def finite_length_log_terms(
     spec: VnRegularEnsemble, n: int, d0: int
 ) -> List[Tuple[int, float]]:

@@ -108,7 +108,8 @@ def _parse_grid(text: str) -> List[Fraction]:
         a_s, b_s, step_s = text.split(":")
         a, b, step = (ensemble.to_fraction(x) for x in (a_s, b_s, step_s))
     except (ValueError, ZeroDivisionError) as exc:
-        raise SpecFileError(f"--gamma-grid: expected 'a:b:step', got {text!r}") from exc
+        raise SpecFileError(
+            f"--gamma-grid: expected 'a:b:step', got {text!r}: {exc}") from exc
     if step <= 0 or b < a:
         raise SpecFileError(f"--gamma-grid: need a <= b and step > 0, got {text!r}")
     count = (b - a) // step + 1

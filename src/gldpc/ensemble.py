@@ -10,6 +10,7 @@ finite-instance divisibility checks never suffer float noise.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -21,11 +22,18 @@ RationalLike = Union[int, str, float, Fraction]
 
 SUM_TOL = 1e-12
 
+#: Largest decimal exponent magnitude to_fraction accepts: Fraction expands
+#: 10**exponent in full, so a string like '1e-999999999' would hang.
+MAX_DECIMAL_EXPONENT = 1000
+
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)$")
+
 
 def to_fraction(x: RationalLike) -> Fraction:
     """Exact rational from int, Fraction, 'num/den' or decimal string, or float.
 
     Floats go through repr, so 0.05 means 1/20 rather than its binary image.
+    A decimal exponent beyond +-MAX_DECIMAL_EXPONENT raises ValueError.
     """
     if isinstance(x, Fraction):
         return x
@@ -34,7 +42,14 @@ def to_fraction(x: RationalLike) -> Fraction:
     if isinstance(x, float):
         return Fraction(repr(x))
     if isinstance(x, str):
-        return Fraction(x.strip())
+        text = x.strip()
+        m = _EXPONENT.search(text)
+        digits = m.group(1).replace("_", "").lstrip("0") if m else ""
+        if (len(digits) > len(str(MAX_DECIMAL_EXPONENT))
+                or int(digits or 0) > MAX_DECIMAL_EXPONENT):
+            raise ValueError(f"decimal exponent in {text[:40]!r} exceeds the cap "
+                             f"of {MAX_DECIMAL_EXPONENT}")
+        return Fraction(text)
     raise TypeError(f"cannot interpret {x!r} as a rational")
 
 

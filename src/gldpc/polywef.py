@@ -2,8 +2,8 @@
 
 Polynomials are tuples of arbitrary-precision integer coefficients indexed
 by exponent. A WEF counts the codewords of a binary linear code by Hamming
-weight; coefficients are kept exact, and asymptotic formulas consume WEFs
-through stable log-domain evaluation.
+weight; coefficients are kept exact, and the growth-rate search evaluates
+them in the log domain.
 """
 
 from __future__ import annotations
@@ -140,20 +140,19 @@ def wef_spc(s: int) -> Wef:
 def wef_hamming(s: int) -> Wef:
     """WEF of the length-s Hamming code, s = 2^m - 1.
 
-    Closed form ((1+z)^s + s (1+z)^((s-1)/2) (1-z)^((s+1)/2)) / (s+1),
-    evaluated in exact integer arithmetic; the final division must be exact.
+    Exact three-term recurrence (u+1) A_{u+1} = C(s,u) - A_u - (s-u+1) A_{u-1}
+    from A_0 = 1, A_1 = 0 (MacWilliams & Sloane, ch. 1); every division
+    must be exact.
     """
     m = (s + 1).bit_length() - 1
     if s < 3 or (1 << m) != s + 1:
         raise ValueError(f"invalid Hamming length {s}: s + 1 must be a power of two")
-    a = poly_pow((1, 1), s)
-    b = poly_mul(poly_pow((1, 1), (s - 1) // 2), poly_pow((1, -1), (s + 1) // 2))
-    total = [x + s * y for x, y in zip(a, b)]
-    coeffs = []
-    for u, v in enumerate(total):
-        q, rem = divmod(v, s + 1)
+    coeffs = [1, 0]
+    for u in range(1, s):
+        rhs = math.comb(s, u) - coeffs[u] - (s - u + 1) * coeffs[u - 1]
+        q, rem = divmod(rhs, u + 1)
         if rem:
-            raise ArithmeticError(f"inexact division at weight {u} in Hamming closed form")
+            raise ArithmeticError(f"inexact division at weight {u + 1} in Hamming recurrence")
         coeffs.append(q)
     return Wef(coeffs=tuple(coeffs), length=s, dim=s - m, min_dist=3)
 
@@ -203,16 +202,3 @@ def macwilliams(w: Wef) -> Wef:
         coeffs.append(q)
     return Wef.from_coeffs(coeffs, s)
 
-
-def log_eval(w: Wef, z: float) -> float:
-    """log A(z) in nats for z > 0, stable for huge coefficients and any z.
-
-    Works term-wise in the log domain (log A_u + u log z, max factored out),
-    so neither large z nor astronomically large coefficients overflow.
-    """
-    if z <= 0:
-        raise ValueError(f"z must be positive, got {z}")
-    logz = math.log(z)
-    terms = [math.log(a) + u * logz for u, a in enumerate(w.coeffs) if a]
-    top = max(terms)
-    return top + math.log(math.fsum(math.exp(t - top) for t in terms))

@@ -7,6 +7,7 @@ spawn key, so Monte Carlo aggregates are identical across runs).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
@@ -57,6 +58,11 @@ class SampledCode:
         if self.types and any(t.parity is None for t in self.types):
             raise ValueError("every CN type needs an explicit parity matrix")
 
+    @functools.cached_property
+    def parity_rows(self) -> Tuple[int, ...]:
+        """The stacked parity-check rows (`global_parity_rows`), built once."""
+        return tuple(global_parity_rows(self))
+
 
 def _rng_for(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
@@ -84,12 +90,9 @@ def sample_vn_regular(spec: VnRegularEnsemble, n: int, rng_seed: int) -> Sampled
             pos += s
     cns: List[Tuple[int, Tuple[int, ...]]] = []
     for layer in range(spec.q):
-        if layer == 0:
-            perm = np.arange(n)
-        else:
-            perm = rng.permutation(n)
+        perm = list(range(n)) if layer == 0 else rng.permutation(n).tolist()
         for t, start, stop in layout:
-            cns.append((t, tuple(int(v) for v in perm[start:stop])))
+            cns.append((t, tuple(perm[start:stop])))
     return SampledCode(
         n=n,
         types=spec.mixture.types,
@@ -109,13 +112,13 @@ def sample_unstructured(spec: UnstructuredEnsemble, n: int,
     for d, count in plan.vn_degree_counts:
         vn_degrees.extend([d] * count)
     vn_sockets = np.repeat(np.arange(n), vn_degrees)
-    matched = rng.permutation(vn_sockets)
+    matched = rng.permutation(vn_sockets).tolist()
     cns: List[Tuple[int, Tuple[int, ...]]] = []
     pos = 0
     for t, count in enumerate(plan.cn_counts):
         s = spec.mixture.types[t].s
         for _ in range(count):
-            cns.append((t, tuple(int(v) for v in matched[pos:pos + s])))
+            cns.append((t, tuple(matched[pos:pos + s])))
             pos += s
     return SampledCode(
         n=n,
@@ -177,8 +180,7 @@ def min_distance(code: SampledCode, k_limit: int = DEFAULT_K_LIMIT
     Returns math.inf for the zero code; refuses (DimensionLimitError) when
     the code dimension exceeds k_limit.
     """
-    rows = global_parity_rows(code)
-    basis = gf2.nullspace_basis(rows, code.n)
+    basis = gf2.nullspace_basis(code.parity_rows, code.n)
     k = len(basis)
     if k == 0:
         return math.inf
@@ -201,7 +203,7 @@ def has_weight_one_codeword(code: SampledCode) -> bool:
     touches no CN, or every CN row sees it an even number of times.
     """
     covered = 0
-    for row in global_parity_rows(code):
+    for row in code.parity_rows:
         covered |= row
     return covered != (1 << code.n) - 1
 

@@ -1,10 +1,12 @@
 import glob
 import json
 import os
+import time
 
 import pytest
 
 from gldpc.cli import MAX_GRID_POINTS, _parse_grid, main
+from gldpc.ensemble import MAX_DECIMAL_EXPONENT
 from gldpc.specfile import (
     SpecFileError,
     load_spec_file,
@@ -161,6 +163,32 @@ class TestSweep:
         assert run(["sweep", spec_path("mixed_spc3_hamming7_q2.json"),
                     "--gamma-grid", "0:1:1/0", "--out", str(tmp_path / "x.csv")]) == 2
         assert "--gamma-grid" in capsys.readouterr().err
+
+
+class TestDecimalExponentCap:
+    """A huge decimal exponent is refused before Fraction expands 10**exponent."""
+
+    def run_fast(self, args, capsys):
+        start = time.perf_counter()
+        assert run(args) == 2
+        assert time.perf_counter() - start < 1.0
+        return capsys.readouterr().err
+
+    def test_gamma_grid(self, tmp_path, capsys):
+        err = self.run_fast(["sweep", spec_path("mixed_spc3_hamming7_q2.json"),
+                             "--gamma-grid", "0:1:1e-999999999",
+                             "--out", str(tmp_path / "x.csv")], capsys)
+        assert "--gamma-grid" in err and f"cap of {MAX_DECIMAL_EXPONENT}" in err
+
+    @pytest.mark.parametrize("field,doc", [
+        ("rho", {"rho": ["1e-99999999"], "q": 2}),
+        ("lambda", {"rho": ["1"], "lambda": {"2": "1e-99999999"}}),
+    ], ids=["rho", "lambda"])
+    def test_spec_field(self, tmp_path, capsys, field, doc):
+        p = tmp_path / "huge.json"
+        p.write_text(json.dumps({"cn_types": [{"kind": "spc", "s": 3}], **doc}))
+        err = self.run_fast(["analyze", str(p)], capsys)
+        assert field in err and f"cap of {MAX_DECIMAL_EXPONENT}" in err
 
 
 class TestSample:

@@ -8,6 +8,7 @@ from gldpc.ensemble import (
     CheckNodeType,
     CnMixture,
     DivisibilityError,
+    MAX_DECIMAL_EXPONENT,
     UnstructuredEnsemble,
     VnRegularEnsemble,
     cn_type_fractions,
@@ -51,6 +52,14 @@ class TestRationals:
 
     def test_float_goes_through_repr(self):
         assert to_fraction(0.1) == Fraction(1, 10)
+
+    def test_decimal_exponent_cap_is_inclusive(self):
+        cap = MAX_DECIMAL_EXPONENT
+        assert to_fraction(f"1e-{cap}") == Fraction(1, 10**cap)
+        assert to_fraction(f"1E+{cap}") == 10**cap
+        for text in (f"1e-{cap + 1}", f"1e{cap + 1}", "1e1_001", "2.5e-9" + "9" * 5000):
+            with pytest.raises(ValueError, match=f"cap of {cap}"):
+                to_fraction(text)
 
 
 class TestMixtureValidation:

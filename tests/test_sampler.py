@@ -256,6 +256,19 @@ class TestStats:
         lo, hi = stats.wilson_ci_eq_one
         assert lo <= target <= hi
 
+    def test_parity_rows_built_once_per_trial(self, ham7, monkeypatch):
+        import gldpc.sampler
+
+        built = []
+        build = gldpc.sampler.global_parity_rows
+        monkeypatch.setattr(gldpc.sampler, "global_parity_rows",
+                            lambda code: built.append(code) or build(code))
+        spec = VnRegularEnsemble(mixture=CnMixture.of([ham7], [1]), q=2)
+        stats = estimate_dmin_stats(spec, 14, 6, 0.5, 11)
+        # no weight-1 word and nothing over the limit: every trial reached min_distance
+        assert stats.count_eq_one == 0 and stats.count_k_over_limit == 0
+        assert len(built) == 6
+
     def test_empirical_union_bound(self, bound_mix_ensemble):
         from gldpc.bounds import min_distance_prob_bound
 
