@@ -7,6 +7,12 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Sequence, Tuple
 
+import numpy as np
+
+#: Bytes for each of the span walk's two buffers: the low-row table (8W a word)
+#: and one chunk (9W + 10 a word: words, popcounts, weights, bincount's copy).
+_WALK_BUFFER_BYTES = 1 << 18
+
 
 class DimensionLimitError(ValueError):
     """Raised when an exhaustive enumeration would exceed its dimension cap."""
@@ -81,14 +87,25 @@ def nullspace_basis(rows: Sequence[int], n_cols: int) -> List[int]:
 
 
 def span_weight_histogram(basis: Sequence[int], n_cols: int) -> List[int]:
-    """Hamming-weight histogram of the span of `basis` (Gray-code walk)."""
-    hist = [0] * (n_cols + 1)
-    hist[0] = 1
-    word = 0
-    for i in range(1, 1 << len(basis)):
-        word ^= basis[(i & -i).bit_length() - 1]
-        hist[word.bit_count()] += 1
-    return hist
+    """Hamming-weight histogram of the span of `basis`: a numpy table of the XOR
+    combinations of the low rows (uint64 words, built by doubling) is XORed with
+    each combination of the high rows, in Gray-code order, and popcounts binned."""
+    k, n_words = len(basis), max(1, -(-n_cols // 64))
+    rows = np.frombuffer(b"".join(b.to_bytes(8 * n_words, "little") for b in basis),
+                         dtype="<u8").reshape(k, n_words).T
+    lo = min(k, max(0, (_WALK_BUFFER_BYTES // (9 * n_words + 10)).bit_length() - 1))
+    low = np.zeros((n_words, 1 << lo), np.uint64)
+    for i in range(lo):
+        np.bitwise_xor(low[:, :1 << i], rows[:, i, None], out=low[:, 1 << i:2 << i])
+    words, high = np.empty_like(low), np.zeros((n_words, 1), np.uint64)
+    hist = np.zeros(n_cols + 1, np.int64)
+    for i in range(1 << (k - lo)):
+        if i:
+            high ^= rows[:, lo + (i & -i).bit_length() - 1, None]
+        np.bitwise_xor(low, high, out=words)
+        weights = np.bitwise_count(words).sum(0, dtype=np.min_scalar_type(64 * n_words))
+        hist += np.bincount(weights, minlength=n_cols + 1)
+    return hist.tolist()
 
 
 def dot_parity(row: int, v: int) -> int:

@@ -175,7 +175,7 @@ def global_parity_rows(code: SampledCode) -> List[int]:
 
 def min_distance(code: SampledCode, k_limit: int = DEFAULT_K_LIMIT
                  ) -> Union[int, float]:
-    """Exact minimum distance by enumerating all 2^k - 1 nonzero codewords.
+    """Exact minimum distance: least nonzero weight in `gf2.span_weight_histogram`.
 
     Returns math.inf for the zero code; refuses (DimensionLimitError) when
     the code dimension exceeds k_limit.
@@ -186,16 +186,8 @@ def min_distance(code: SampledCode, k_limit: int = DEFAULT_K_LIMIT
         return math.inf
     if k > k_limit:
         raise DimensionLimitError(k, k_limit, "codeword enumeration")
-    best = code.n + 1
-    word = 0
-    for i in range(1, 1 << k):
-        word ^= basis[(i & -i).bit_length() - 1]
-        w = word.bit_count()
-        if w < best:
-            best = w
-            if best == 1:
-                break
-    return best
+    hist = gf2.span_weight_histogram(basis, code.n)
+    return next(w for w in range(1, code.n + 1) if hist[w])
 
 
 def has_weight_one_codeword(code: SampledCode) -> bool:

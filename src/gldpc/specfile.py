@@ -31,6 +31,10 @@ from .ensemble import (
     to_fraction,
 )
 
+#: Longest CN type a spec may declare, of any kind: building a type checks its
+#: WEF with O(s^2) bigint work, so a huge "s" would hang (spc 8000 takes 18 s).
+MAX_CN_LENGTH = 1023
+
 
 class SpecFileError(ValueError):
     """Malformed ensemble description; the message names the bad field."""
@@ -69,8 +73,9 @@ def _parse_cn_type(entry: Dict[str, Any], idx: int) -> CheckNodeType:
         raise SpecFileError(f"{where}: expected an object")
     kind = entry.get("kind")
     s = entry.get("s")
-    if not isinstance(s, int) or s < 2:
-        raise SpecFileError(f"{where}.s: expected an integer length >= 2, got {s!r}")
+    if not isinstance(s, int) or not 2 <= s <= MAX_CN_LENGTH:
+        raise SpecFileError(f"{where}.s: expected an integer length from 2 to the cap "
+                            f"of {MAX_CN_LENGTH}, got {s!r}")
     if kind == "spc":
         return CheckNodeType.spc(s)
     if kind == "hamming":

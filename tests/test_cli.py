@@ -8,6 +8,7 @@ import pytest
 from gldpc.cli import MAX_GRID_POINTS, _parse_grid, main
 from gldpc.ensemble import MAX_DECIMAL_EXPONENT
 from gldpc.specfile import (
+    MAX_CN_LENGTH,
     SpecFileError,
     load_spec_file,
     parse_spec_dict,
@@ -19,6 +20,14 @@ from conftest import SPEC_DIR, spec_path
 
 def run(args):
     return main(args)
+
+
+def run_fast(args, capsys):
+    """Run a command that must exit 2 in under 1 s; return its stderr."""
+    start = time.perf_counter()
+    assert run(args) == 2
+    assert time.perf_counter() - start < 1.0
+    return capsys.readouterr().err
 
 
 def spec_signature(spec):
@@ -168,16 +177,10 @@ class TestSweep:
 class TestDecimalExponentCap:
     """A huge decimal exponent is refused before Fraction expands 10**exponent."""
 
-    def run_fast(self, args, capsys):
-        start = time.perf_counter()
-        assert run(args) == 2
-        assert time.perf_counter() - start < 1.0
-        return capsys.readouterr().err
-
     def test_gamma_grid(self, tmp_path, capsys):
-        err = self.run_fast(["sweep", spec_path("mixed_spc3_hamming7_q2.json"),
-                             "--gamma-grid", "0:1:1e-999999999",
-                             "--out", str(tmp_path / "x.csv")], capsys)
+        err = run_fast(["sweep", spec_path("mixed_spc3_hamming7_q2.json"),
+                        "--gamma-grid", "0:1:1e-999999999",
+                        "--out", str(tmp_path / "x.csv")], capsys)
         assert "--gamma-grid" in err and f"cap of {MAX_DECIMAL_EXPONENT}" in err
 
     @pytest.mark.parametrize("field,doc", [
@@ -187,8 +190,27 @@ class TestDecimalExponentCap:
     def test_spec_field(self, tmp_path, capsys, field, doc):
         p = tmp_path / "huge.json"
         p.write_text(json.dumps({"cn_types": [{"kind": "spc", "s": 3}], **doc}))
-        err = self.run_fast(["analyze", str(p)], capsys)
+        err = run_fast(["analyze", str(p)], capsys)
         assert field in err and f"cap of {MAX_DECIMAL_EXPONENT}" in err
+
+
+class TestCnLengthCap:
+    """A CN type longer than MAX_CN_LENGTH is refused before it is built."""
+
+    @pytest.mark.parametrize("kind", ["spc", "hamming", "explicit"])
+    @pytest.mark.parametrize("s", [MAX_CN_LENGTH + 1, 10**9])
+    def test_over_cap_exits_2(self, tmp_path, capsys, kind, s):
+        long_type = {"kind": kind, "s": s, "parity": ["1" * 8]}
+        p = tmp_path / "long.json"
+        p.write_text(json.dumps({"cn_types": [{"kind": "spc", "s": 3}, long_type],
+                                 "rho": ["1/2", "1/2"], "q": 2}))
+        err = run_fast(["analyze", str(p)], capsys)
+        assert "cn_types[1].s" in err and f"cap of {MAX_CN_LENGTH}" in err
+
+    def test_cap_is_inclusive(self):
+        spec = parse_spec_dict({"cn_types": [{"kind": "hamming", "s": MAX_CN_LENGTH}],
+                                "rho": ["1"], "q": 2})
+        assert spec.mixture.types[0].s == MAX_CN_LENGTH == 1023
 
 
 class TestSample:

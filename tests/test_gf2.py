@@ -1,5 +1,11 @@
 """GF(2) elimination against brute force on small matrices, and against an
-independent column-scanning elimination on sampled stacked matrices."""
+independent column-scanning elimination on sampled stacked matrices; the numpy
+span walk against a bigint Gray-code walk."""
+
+import functools
+import math
+import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +20,13 @@ from gldpc.ensemble import (
     VnRegularEnsemble,
 )
 from gldpc.polywef import wef_from_parity_matrix
-from gldpc.sampler import global_parity_rows, sample_unstructured, sample_vn_regular
+from gldpc.sampler import (
+    SampledCode,
+    global_parity_rows,
+    min_distance,
+    sample_unstructured,
+    sample_vn_regular,
+)
 
 
 @st.composite
@@ -114,3 +126,91 @@ def test_rank_of_sampled_stacked_matrices(kind, seed):
     basis = gf2.nullspace_basis(rows, n)
     assert len(basis) == n - r
     assert all(gf2.dot_parity(row, v) == 0 for row in rows for v in basis)
+
+
+def gray_span_weight_histogram(basis, n_cols):
+    """Oracle: weight histogram of all 2^k combinations of `basis`, one
+    Python-bigint XOR per word in Gray-code order."""
+    hist = [0] * (n_cols + 1)
+    hist[0] = 1
+    word = 0
+    for i in range(1, 1 << len(basis)):
+        word ^= basis[(i & -i).bit_length() - 1]
+        hist[word.bit_count()] += 1
+    return hist
+
+
+@st.composite
+def spanning_rows(draw):
+    """Up to 16 rows over a column count at or near a 64-bit word boundary;
+    a row may be zero or repeat an earlier one."""
+    n = draw(st.sampled_from([1, 63, 64, 65, 128, 129, 140]))
+    rows = []
+    for _ in range(draw(st.integers(0, 16))):
+        rows.append(draw(st.one_of(st.integers(0, (1 << n) - 1), st.just(0),
+                                   st.sampled_from(rows) if rows else st.nothing())))
+    return rows, n
+
+
+@functools.lru_cache(maxsize=None)
+def _spc(s):
+    return CheckNodeType.spc(s)
+
+
+def code_from_rows(rows, n):
+    """A code whose stacked parity rows are `rows`: one SPC check per row, on
+    the row's support padded to length n + 1 or n + 2 with pairs of VN 0."""
+    cns, degs = [], [0] * n
+    for r in rows:
+        support = tuple(v for v in range(n) if (r >> v) & 1)
+        t = (n + 1 - len(support)) & 1
+        cns.append((t, support + (0,) * (n + 1 + t - len(support))))
+        for v in cns[-1][1]:
+            degs[v] += 1
+    return SampledCode(n=n, types=(_spc(n + 1), _spc(n + 2)), cns=tuple(cns),
+                       vn_degrees=tuple(degs), seed=0, ensemble="unstructured")
+
+
+@settings(max_examples=150, deadline=None)
+@given(spanning_rows())
+def test_span_histogram_matches_gray_walk(mat):
+    rows, n = mat
+    assert gf2.span_weight_histogram(rows, n) == gray_span_weight_histogram(rows, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spanning_rows())
+def test_min_distance_matches_gray_walk(mat):
+    # a code whose null space is the span of `rows`
+    rows, n = mat
+    parity = gf2.nullspace_basis(rows, n)
+    code = code_from_rows(parity, n)
+    assert global_parity_rows(code) == parity
+    hist = gray_span_weight_histogram(rows, n)
+    expected = next((w for w in range(1, n + 1) if hist[w]), math.inf)
+    assert min_distance(code) == expected
+
+
+@pytest.mark.parametrize("budget", [64, 1000, 1 << 12])
+def test_span_histogram_with_many_chunks(monkeypatch, budget):
+    # a small budget leaves a low table of a few rows and many Gray-walked chunks
+    monkeypatch.setattr(gf2, "_WALK_BUFFER_BYTES", budget)
+    rng = random.Random(budget)
+    for n in (1, 64, 65, 140):
+        rows = [rng.getrandbits(n) for _ in range(12)] + [0]
+        rows.append(rows[3])
+        assert gf2.span_weight_histogram(rows, n) == gray_span_weight_histogram(rows, n)
+
+
+@pytest.mark.parametrize("k,n", [(20, 140), (12, 3000)])
+def test_span_walk_memory_within_budget(k, n):
+    rng = random.Random(n)
+    rows = [rng.getrandbits(n) for _ in range(k)]
+    tracemalloc.start()
+    try:
+        hist = gf2.span_weight_histogram(rows, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert hist == gray_span_weight_histogram(rows, n)
+    assert peak <= 2 * gf2._WALK_BUFFER_BYTES
