@@ -81,9 +81,14 @@ def echelon_nullspace(pivots: Sequence[int], echelon: Sequence[int],
     return basis
 
 
-def nullspace_basis(rows: Sequence[int], n_cols: int) -> List[int]:
-    """Basis of the right null space {v : row . v = 0 for all rows}."""
-    return echelon_nullspace(*row_reduce(rows, n_cols), n_cols)
+def nullspace_basis(rows: Sequence[int], n_cols: int, max_dim: int) -> List[int]:
+    """Basis of the right null space {v : row . v = 0 for all rows}; refuses a
+    dimension n_cols - rank above max_dim before building any basis vector."""
+    pivots, echelon = row_reduce(rows, n_cols)
+    k = n_cols - len(pivots)
+    if k > max_dim:
+        raise DimensionLimitError(k, max_dim, "codeword enumeration")
+    return echelon_nullspace(pivots, echelon, n_cols)
 
 
 def span_weight_histogram(basis: Sequence[int], n_cols: int) -> List[int]:

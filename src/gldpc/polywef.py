@@ -178,27 +178,23 @@ def wef_from_parity_matrix(
 
 
 def macwilliams(w: Wef) -> Wef:
-    """WEF of the dual code via the MacWilliams transform.
+    """WEF of the dual code via the MacWilliams transform B_j = 2^-k sum_u A_u K_j(u).
 
-    B(z) = 2^-k sum_u A_u (1-z)^u (1+z)^(s-u); every division is exact.
+    The Krawtchouk values K_j(u) = [z^j] (1-z)^u (1+z)^(s-u) follow the recurrence
+    (j+1) K_{j+1} = (s-2u) K_j - (s-j+1) K_{j-1}, K_{-1} = 0, K_0 = 1 (MacWilliams &
+    Sloane, ch. 5); every division is exact.
     """
     s = w.length
     acc = [0] * (s + 1)
     for u, a in enumerate(w.coeffs):
         if a == 0:
             continue
-        minus = [(-1) ** j * math.comb(u, j) for j in range(u + 1)]
-        plus = [math.comb(s - u, j) for j in range(s - u + 1)]
-        for i, t in enumerate(poly_mul(minus, plus)):
-            acc[i] += a * t
-    scale = 1 << w.dim
-    coeffs = []
-    for u, v in enumerate(acc):
-        q, rem = divmod(v, scale)
-        if rem:
-            raise ArithmeticError(
-                f"inconsistent input WEF: inexact division at weight {u}"
-            )
-        coeffs.append(q)
-    return Wef.from_coeffs(coeffs, s)
+        prev, cur = 0, a  # a*K_{j-1}, a*K_j
+        for j in range(s + 1):
+            acc[j] += cur
+            prev, cur = cur, ((s - 2 * u) * cur - (s - j + 1) * prev) // (j + 1)
+    bad = next((u for u, v in enumerate(acc) if v % (1 << w.dim)), None)
+    if bad is not None:
+        raise ArithmeticError(f"inconsistent input WEF: inexact division at weight {bad}")
+    return Wef.from_coeffs([v >> w.dim for v in acc], s)
 

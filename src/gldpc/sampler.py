@@ -145,6 +145,8 @@ def _satisfies(code: SampledCode, t: int, word: int) -> bool:
 def is_codeword(code: SampledCode, v: Union[Sequence[int], int]) -> bool:
     """True iff every CN sees a local codeword on its sockets, in order."""
     if isinstance(v, int):
+        if v < 0 or v >> code.n:
+            raise ValueError(f"vector {v} is not a word of length {code.n}")
         mask = v
     else:
         if len(v) != code.n:
@@ -178,14 +180,11 @@ def min_distance(code: SampledCode, k_limit: int = DEFAULT_K_LIMIT
     """Exact minimum distance: least nonzero weight in `gf2.span_weight_histogram`.
 
     Returns math.inf for the zero code; refuses (DimensionLimitError) when
-    the code dimension exceeds k_limit.
+    the code dimension exceeds k_limit, before the null space is built.
     """
-    basis = gf2.nullspace_basis(code.parity_rows, code.n)
-    k = len(basis)
-    if k == 0:
+    basis = gf2.nullspace_basis(code.parity_rows, code.n, k_limit)
+    if not basis:
         return math.inf
-    if k > k_limit:
-        raise DimensionLimitError(k, k_limit, "codeword enumeration")
     hist = gf2.span_weight_histogram(basis, code.n)
     return next(w for w in range(1, code.n + 1) if hist[w])
 

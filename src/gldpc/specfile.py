@@ -31,8 +31,8 @@ from .ensemble import (
     to_fraction,
 )
 
-#: Longest CN type a spec may declare, of any kind: building a type checks its
-#: WEF with O(s^2) bigint work, so a huge "s" would hang (spc 8000 takes 18 s).
+#: Longest CN type a spec may declare, of any kind: a type's WEF costs bigint work
+#: growing faster than s^2, so a huge "s" would hang (spc 8000 takes 3.8 s).
 MAX_CN_LENGTH = 1023
 
 

@@ -86,10 +86,21 @@ def test_row_reduce_is_an_echelon_basis(mat):
 @given(matrices())
 def test_nullspace_basis_is_complete(mat):
     rows, n = mat
-    basis = gf2.nullspace_basis(rows, n)
+    basis = gf2.nullspace_basis(rows, n, n)
     assert len(basis) == n - gf2.rank(rows, n)
     assert all(gf2.dot_parity(r, v) == 0 for r in rows for v in basis)
     assert len(span(basis)) == 1 << len(basis)
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices())
+def test_nullspace_dimension_cap_is_inclusive(mat):
+    rows, n = mat
+    k = n - gf2.rank(rows, n)
+    assert len(gf2.nullspace_basis(rows, n, k)) == k
+    with pytest.raises(gf2.DimensionLimitError) as err:
+        gf2.nullspace_basis(rows, n, k - 1)
+    assert (err.value.dim, err.value.limit) == (k, k - 1)
 
 
 @settings(max_examples=200, deadline=None)
@@ -123,7 +134,7 @@ def test_rank_of_sampled_stacked_matrices(kind, seed):
     rows, n = _stacked(kind, seed)
     r = gf2.rank(rows, n)
     assert r == numpy_rank(rows, n)
-    basis = gf2.nullspace_basis(rows, n)
+    basis = gf2.nullspace_basis(rows, n, n)
     assert len(basis) == n - r
     assert all(gf2.dot_parity(row, v) == 0 for row in rows for v in basis)
 
@@ -183,7 +194,7 @@ def test_span_histogram_matches_gray_walk(mat):
 def test_min_distance_matches_gray_walk(mat):
     # a code whose null space is the span of `rows`
     rows, n = mat
-    parity = gf2.nullspace_basis(rows, n)
+    parity = gf2.nullspace_basis(rows, n, n)
     code = code_from_rows(parity, n)
     assert global_parity_rows(code) == parity
     hist = gray_span_weight_histogram(rows, n)

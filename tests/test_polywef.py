@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +25,44 @@ def enumerate_wef(rows, n):
         if all(bin(r & v).count("1") % 2 == 0 for r in rows):
             hist[v.bit_count()] += 1
     return tuple(hist)
+
+
+def convolution_macwilliams(w):
+    """Oracle: the MacWilliams transform with each (1-z)^u (1+z)^(s-u) built
+    by convolving its two binomial rows."""
+    s = w.length
+    acc = [0] * (s + 1)
+    for u, a in enumerate(w.coeffs):
+        if a == 0:
+            continue
+        minus = [(-1) ** j * math.comb(u, j) for j in range(u + 1)]
+        plus = [math.comb(s - u, j) for j in range(s - u + 1)]
+        for i, t in enumerate(poly_mul(minus, plus)):
+            acc[i] += a * t
+    scale = 1 << w.dim
+    coeffs = []
+    for u, v in enumerate(acc):
+        q, rem = divmod(v, scale)
+        if rem:
+            raise ArithmeticError(f"inconsistent input WEF: inexact division at weight {u}")
+        coeffs.append(q)
+    return Wef.from_coeffs(coeffs, s)
+
+
+@st.composite
+def parity_matrices(draw):
+    """Random parity rows over 1-40 columns: at most 6 rows (the dual route of
+    wef_from_parity_matrix) or at most 6 fewer rows than columns (the direct
+    route), plus the zero matrix (the full space) and the identity (the zero code)."""
+    n = draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(["full", "zero", "few", "many"]))
+    if kind == "full":
+        return [], n
+    if kind == "zero":
+        return [1 << i for i in range(n)], n
+    count = draw(st.integers(0, 6) if kind == "few" else st.integers(max(0, n - 6), n + 2))
+    rows = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=count, max_size=count))
+    return rows, n
 
 
 def simplex_wef(s):
@@ -160,7 +200,7 @@ class TestParityMatrix:
 
 
 class TestMacWilliams:
-    @pytest.mark.parametrize("s", [7, 15, 31, 63, 127, 255, 511])
+    @pytest.mark.parametrize("s", [7, 15, 31, 63, 127, 255, 511, 1023])
     def test_simplex_dual_is_hamming(self, s):
         assert macwilliams(simplex_wef(s)) == wef_hamming(s)
 
@@ -168,7 +208,7 @@ class TestMacWilliams:
         zero = Wef.from_coeffs((1, 0, 0, 0), length=3)
         assert macwilliams(zero).coeffs == (1, 3, 3, 1)
 
-    @pytest.mark.parametrize("s", [3, 7, 15, 31, 63])
+    @pytest.mark.parametrize("s", [3, 7, 15, 31, 63, 127, 255])
     def test_involution(self, s):
         w = wef_hamming(s)
         assert macwilliams(macwilliams(w)) == w
@@ -178,3 +218,11 @@ class TestMacWilliams:
         with pytest.raises(ArithmeticError):
             macwilliams(fake)
 
+    @settings(max_examples=200, deadline=None)
+    @given(parity_matrices())
+    def test_matches_convolution(self, mat):
+        rows, n = mat
+        w = wef_from_parity_matrix(rows, n)
+        dual = macwilliams(w)
+        assert dual == convolution_macwilliams(w)
+        assert macwilliams(dual) == w

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from gldpc import gf2
 from gldpc.ensemble import (
     CheckNodeType,
     CnMixture,
@@ -12,6 +13,7 @@ from gldpc.ensemble import (
 )
 from gldpc.gf2 import DimensionLimitError, dot_parity
 from gldpc.sampler import (
+    DEFAULT_K_LIMIT,
     SampledCode,
     estimate_dmin_stats,
     global_parity_rows,
@@ -172,6 +174,13 @@ class TestCodewordChecks:
         with pytest.raises(ValueError):
             is_codeword(code, [0, 1])
 
+    def test_int_vector_range_checked(self, alldeg2_spc3):
+        code = sample_unstructured(alldeg2_spc3, 3, 7)
+        is_codeword(code, 0b111)  # the largest word of length 3 is accepted
+        for v in (-1, 1 << 3, 1 << 40):
+            with pytest.raises(ValueError):
+                is_codeword(code, v)
+
 
 class TestMinDistance:
     def test_single_hamming_cn(self, ham7):
@@ -189,6 +198,18 @@ class TestMinDistance:
         with pytest.raises(DimensionLimitError) as err:
             min_distance(code, k_limit=10)
         assert err.value.dim > 10
+
+    def test_refused_from_the_rank(self, gallager_3_6, monkeypatch):
+        # (3,6) at n=600 has k near 300: refused before any basis vector is built
+        def no_back_substitution(*args):
+            raise AssertionError("echelon_nullspace ran on a code over the cap")
+
+        monkeypatch.setattr(gf2, "echelon_nullspace", no_back_substitution)
+        code = sample_vn_regular(gallager_3_6, 600, 3)
+        with pytest.raises(DimensionLimitError) as err:
+            min_distance(code)
+        assert err.value.dim == code.n - gf2.rank(code.parity_rows, code.n)
+        assert err.value.limit == DEFAULT_K_LIMIT
 
     def test_agrees_with_full_scan(self):
         rng = random.Random(7)
