@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -53,14 +54,23 @@ def even_coef_exact(cn_counts: Sequence[int], mixture: CnMixture, j: int) -> int
 
 
 def even_coef_limit(edges: int, density: float, j: int) -> float:
-    """Large-size limit (edges * density / 2)**j / j! of the 2j coefficient."""
+    """Large-size limit (edges * density / 2)**j / j! of the 2j coefficient;
+    ValueError when it lies beyond the float range."""
     if j < 1:
         raise ValueError(f"j must be positive, got {j}")
     if edges <= 0:
         raise ValueError("edge count must be positive")
     if density < 0:
         raise ValueError("weight-2 density cannot be negative")
-    return (edges * density / 2.0) ** j / math.factorial(j)
+    half = edges * density / 2.0
+    try:
+        try:
+            return half ** j / math.factorial(j)
+        except OverflowError:  # half**j or j! left the float range; the limit may not
+            return math.exp(j * math.log(half) - math.lgamma(j + 1))
+    except OverflowError:
+        raise ValueError(f"the limit of the weight-{2 * j} coefficient (j={j}) at "
+                         f"{edges} edges exceeds the float range") from None
 
 
 @dataclass(frozen=True)
@@ -88,9 +98,13 @@ def even_coef_convergence(
     rows = []
     for n in n_list:
         plan = validate_finite_instance(spec, n)
-        exact = even_coef_exact(plan.cn_counts, spec.mixture, j)
         limit = even_coef_limit(plan.edges, density, j)
-        ratio = exact / limit if limit > 0 else math.nan
+        exact = even_coef_exact(plan.cn_counts, spec.mixture, j)
+        try:  # exact may pass the float range where the ratio does not
+            ratio = float(exact / Fraction(limit)) if limit > 0 else math.nan
+        except OverflowError:
+            raise ValueError(f"the exact/limit ratio for j={j} at {plan.edges} edges "
+                             "exceeds the float range") from None
         rows.append(
             CoefConvergence(
                 n=n,

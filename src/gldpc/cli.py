@@ -15,12 +15,14 @@ from fractions import Fraction
 from typing import Any, Dict, List, Optional
 
 from . import bounds, ensemble, growth, sampler
-from .ensemble import DivisibilityError
 from .specfile import SpecFile, SpecFileError, load_spec_file
 
 
 #: Most points --gamma-grid may hold; a larger grid exits 2 before any is built.
 MAX_GRID_POINTS = 10_001
+#: Largest --j coef-convergence accepts; a row costs about j^2 log n bigint work (2-vCPU
+#: VM: 0.3 s at j = 100, n = 3e6; 4.3 s at j = 300, n = 3e5). A larger j exits 2.
+MAX_J = 100
 
 
 def _fmt(x: Optional[float]) -> str:
@@ -58,8 +60,8 @@ def _analyze_report(spec: SpecFile) -> Dict[str, Any]:
             "2 * sum over min-dist-2 types of rho_t * A2_t / s_t",
         ),
     }
-    if spec.has_vn_regular:
-        view = spec.vn_regular()
+    view = spec.vn_regular
+    if view is not None:
         rate = ensemble.design_rate(view)
         curve = growth.find_critical_ratio(view)
         block: Dict[str, Any] = {
@@ -75,8 +77,8 @@ def _analyze_report(spec: SpecFile) -> Dict[str, Any]:
         if rate < 0:
             block["warning_negative_rate"] = True
         report["vn_regular"] = block
-    if spec.has_unstructured:
-        view2 = spec.unstructured()
+    view2 = spec.unstructured
+    if view2 is not None:
         ub = bounds.min_distance_prob_bound(view2)
         report["unstructured"] = {
             "degree_two_edge_fraction": _tagged(
@@ -119,15 +121,33 @@ def _parse_grid(text: str) -> List[Fraction]:
     return [a + i * step for i in range(count)]
 
 
+def _select_view(spec: SpecFile, flag: Optional[str], command: str):
+    """The VN view named by flag (None: the spec's only one); notes an ignored other."""
+    both = spec.vn_regular is not None and spec.unstructured is not None
+    if flag is None:
+        if both:
+            raise SpecFileError("spec has both 'q' and 'lambda'; pick one with "
+                                "--ensemble {vn-regular,unstructured}")
+        flag = "vn-regular" if spec.vn_regular is not None else "unstructured"
+    if flag == "vn-regular":
+        view, field, ignored = spec.vn_regular, "'q' field (VN-regular view)", "lambda"
+    else:
+        view, field, ignored = spec.unstructured, "'lambda' field (unstructured view)", "q"
+    if view is None:
+        raise SpecFileError(f"spec has no {field}")
+    if both:
+        print(f"notice: ignoring the spec's {ignored!r} block for {command}",
+              file=sys.stderr)
+    return view
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     spec = load_spec_file(args.spec)
     if len(spec.mixture.types) != 2:
         raise SpecFileError(
             f"sweep needs exactly 2 CN types, spec has {len(spec.mixture.types)}"
         )
-    view = spec.vn_regular()
-    if spec.has_unstructured:
-        print("notice: ignoring the spec's 'lambda' block for sweep", file=sys.stderr)
+    view = _select_view(spec, "vn-regular", "sweep")
     grid = _parse_grid(args.gamma_grid)
     points = growth.two_type_sweep(
         spec.mixture.types[0], spec.mixture.types[1], view.q, grid
@@ -144,28 +164,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _select_view(spec: SpecFile, flag: Optional[str]):
-    if flag == "vn-regular" or (flag is None and not spec.has_unstructured):
-        view = spec.vn_regular()
-    elif flag == "unstructured" or (flag is None and not spec.has_vn_regular):
-        view = spec.unstructured()
-    else:
-        raise SpecFileError(
-            "spec has both 'q' and 'lambda'; pick one with "
-            "--ensemble {vn-regular,unstructured}"
-        )
-    if spec.has_vn_regular and spec.has_unstructured:
-        other = "lambda" if isinstance(view, ensemble.VnRegularEnsemble) else "q"
-        print(f"notice: ignoring the spec's {other!r} block for sample",
-              file=sys.stderr)
-    return view
-
-
 def cmd_sample(args: argparse.Namespace) -> int:
     if not math.isfinite(args.alpha):
         raise SpecFileError(f"--alpha must be finite, got {args.alpha}")
     spec = load_spec_file(args.spec)
-    view = _select_view(spec, args.ensemble)
+    view = _select_view(spec, args.ensemble, "sample")
     stats = sampler.estimate_dmin_stats(
         view, args.n, args.trials, args.alpha, args.seed
     )
@@ -216,12 +219,11 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 def cmd_coef_convergence(args: argparse.Namespace) -> int:
     spec = load_spec_file(args.spec)
-    view = spec.unstructured()
-    if spec.has_vn_regular:
-        print("notice: ignoring the spec's 'q' block for coef-convergence",
-              file=sys.stderr)
+    view = _select_view(spec, "unstructured", "coef-convergence")
     if args.j < 1:
         raise SpecFileError(f"--j must be a positive integer, got {args.j}")
+    if args.j > MAX_J:
+        raise SpecFileError(f"--j: {args.j} is more than the cap of {MAX_J}")
     try:
         n_list = [int(x) for x in args.n_list.split(",") if x]
     except ValueError as exc:
@@ -274,7 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="exact vs limiting small-weight coefficients as CSV",
     )
     p.add_argument("spec")
-    p.add_argument("--j", type=int, required=True, help="half the target weight")
+    p.add_argument("--j", type=int, required=True,
+                   help=f"half the target weight, at most {MAX_J}")
     p.add_argument("--n-list", required=True, help="comma-separated block lengths")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_coef_convergence)
@@ -287,7 +290,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SpecFileError, DivisibilityError, ValueError) as exc:
+    except ValueError as exc:  # SpecFileError, DivisibilityError and other bad input
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -75,24 +75,21 @@ class CheckNodeType:
     """
 
     wef: Wef
-    parity: Optional[Tuple[int, ...]] = None
+    parity: Tuple[int, ...]
 
     def __post_init__(self):
         if self.wef.min_dist is None or self.wef.min_dist < 2:
             raise ValueError(
                 f"CN local code must have minimum distance >= 2, got {self.wef.min_dist}"
             )
-        if self.parity is not None:
-            s, k = self.wef.length, self.wef.dim
-            if len(self.parity) != s - k:
-                raise ValueError(
-                    f"parity matrix has {len(self.parity)} rows, expected {s - k}"
-                )
-            derived = polywef.wef_from_parity_matrix(self.parity, s)
-            if derived.dim != k:
-                raise ValueError("parity matrix is rank deficient")
-            if derived != self.wef:
-                raise ValueError("parity matrix does not match the stated WEF")
+        s, k = self.wef.length, self.wef.dim
+        if len(self.parity) != s - k:
+            raise ValueError(f"parity matrix has {len(self.parity)} rows, expected {s - k}")
+        derived = polywef.wef_from_parity_matrix(self.parity, s)
+        if derived.dim != k:
+            raise ValueError("parity matrix is rank deficient")
+        if derived != self.wef:
+            raise ValueError("parity matrix does not match the stated WEF")
 
     @property
     def s(self) -> int:
@@ -200,14 +197,10 @@ def cns_per_edge(m: CnMixture) -> float:
     return float(cns_per_edge_exact(m))
 
 
-def cn_type_fractions_exact(m: CnMixture) -> Tuple[Fraction, ...]:
-    total = cns_per_edge_exact(m)
-    return tuple(r / (t.s * total) for t, r in zip(m.types, m.rho))
-
-
 def cn_type_fractions(m: CnMixture) -> Tuple[float, ...]:
     """Fraction of CNs of each type (node perspective of rho)."""
-    return tuple(float(g) for g in cn_type_fractions_exact(m))
+    total = cns_per_edge_exact(m)
+    return tuple(float(r / (t.s * total)) for t, r in zip(m.types, m.rho))
 
 
 def weight_two_density_exact(m: CnMixture) -> Fraction:
@@ -263,7 +256,6 @@ class InstancePlan:
     cn_counts: Tuple[int, ...]
     vn_degree_counts: Tuple[Tuple[int, int], ...]
     per_layer_cn_counts: Optional[Tuple[int, ...]] = None
-    q: Optional[int] = None
 
 
 def _feasible_n(constraints: List[Fraction]) -> int:
@@ -302,7 +294,6 @@ def validate_finite_instance(
             cn_counts=counts,
             vn_degree_counts=((q, n),),
             per_layer_cn_counts=tuple(int(c) for c in per_layer),
-            q=q,
         )
 
     # unstructured: counts scale with edges = n / int(lambda)

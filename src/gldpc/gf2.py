@@ -36,10 +36,6 @@ def parse_bits(bits: str) -> int:
     return mask
 
 
-def bits_to_string(mask: int, n_cols: int) -> str:
-    return "".join("1" if (mask >> i) & 1 else "0" for i in range(n_cols))
-
-
 def row_reduce(rows: Sequence[int], n_cols: int) -> Tuple[List[int], List[int]]:
     """Echelon form by XOR basis: (pivot columns ascending, one row per pivot).
 

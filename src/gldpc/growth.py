@@ -42,6 +42,9 @@ _TAIL = 1e-9
 _FLOOR_ULPS = 64
 # Safety cap; safeguarded Newton needs far fewer steps.
 _MAX_STEPS = 100
+# find_critical_ratio's scan size, and its root bracket width in relative weight.
+_SCAN_POINTS = 2200
+_ROOT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -237,21 +240,16 @@ def _scan_ends(m: CnMixture) -> Tuple[float, float]:
     return min(lows), max(highs)
 
 
-def find_critical_ratio(
-    spec: VnRegularEnsemble,
-    grid_size: int = 2000,
-    root_tol: float = 1e-10,
-    log_grid_size: int = 200,
-) -> GrowthCurve:
+def find_critical_ratio(spec: VnRegularEnsemble) -> GrowthCurve:
     """Locate the smallest positive root of the growth rate.
 
-    The curve is scanned on grid_size + log_grid_size log-tilts, evenly
+    The curve is scanned on _SCAN_POINTS log-tilts, evenly
     spaced between the points where alpha is 1e-9 above zero and 1e-9 below
     its limit (even steps in t are log-spaced in alpha near both ends). A
     scanned value counts as signed only when it clears the rounding-error
     floor of the terms it is summed from; the root is bracketed by the last
     negative and first positive value and refined by safeguarded Newton in
-    t until the bracket is about root_tol wide in alpha. The reported ratio
+    t until the bracket is about _ROOT_TOL wide in alpha. The reported ratio
     sits at the secant point of G across the final bracket.
 
     Existence is decided analytically: for VN degree q > 2 a positive
@@ -264,7 +262,7 @@ def find_critical_ratio(
     None.
     """
     m, q = spec.mixture, spec.q
-    t = np.linspace(*_scan_ends(m), grid_size + log_grid_size)
+    t = np.linspace(*_scan_ends(m), _SCAN_POINTS)
     alpha, g, _, floor = _growth_curve(spec, t)
     sign = np.where(g > floor, 1, np.where(g < -floor, -1, 0))
     signed = sign[sign != 0]
@@ -296,8 +294,8 @@ def find_critical_ratio(
         )
     i, j = int(before[-1]), int(positive[0])
 
-    # tolerance in t that makes the final bracket about root_tol wide in alpha
-    tol = root_tol * (t[j] - t[i]) / (alpha[j] - alpha[i])
+    # tolerance in t that makes the final bracket about _ROOT_TOL wide in alpha
+    tol = _ROOT_TOL * (t[j] - t[i]) / (alpha[j] - alpha[i])
     lo, hi = _bracketed_newton(
         lambda x: _growth_curve(spec, x)[1:3], t[i:i + 1], t[j:j + 1], tol
     )
@@ -371,10 +369,11 @@ def two_type_sweep(
     return [_sweep_point(type_a, type_b, q, g) for g in grid]
 
 
-def gv_relative_distance(rate: float, tol: float = 1e-10) -> float:
+def gv_relative_distance(rate: float) -> float:
     """Gilbert-Varshamov relative distance: solve rate = 1 - h2(delta).
 
-    Uses base-2 entropy as is conventional for the GV curve.
+    Uses base-2 entropy as is conventional for the GV curve; bisection
+    stops at a bracket 1e-10 wide.
     """
     if not 0 < rate < 1:
         raise ValueError(f"rate must lie in (0, 1), got {rate}")
@@ -383,7 +382,7 @@ def gv_relative_distance(rate: float, tol: float = 1e-10) -> float:
         return -x * math.log2(x) - (1 - x) * math.log2(1 - x)
 
     lo, hi = 0.0, 0.5
-    while hi - lo > tol:
+    while hi - lo > 1e-10:
         mid = 0.5 * (lo + hi)
         if 1 - h2(mid) > rate:
             lo = mid

@@ -8,7 +8,6 @@ them in the log domain.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -133,8 +132,11 @@ def wef_spc(s: int) -> Wef:
     """WEF of the (s, s-1) single parity check code: even-weight words."""
     if s < 2:
         raise ValueError(f"invalid SPC length {s}: need s >= 2")
-    coeffs = tuple(math.comb(s, u) if u % 2 == 0 else 0 for u in range(s + 1))
-    return Wef(coeffs=coeffs, length=s, dim=s - 1, min_dist=2)
+    coeffs, binom = [], 1  # C(s, u), carried as C(s, u+1) = C(s, u) (s-u) / (u+1)
+    for u in range(s + 1):
+        coeffs.append(0 if u % 2 else binom)
+        binom = binom * (s - u) // (u + 1)
+    return Wef(coeffs=tuple(coeffs), length=s, dim=s - 1, min_dist=2)
 
 
 def wef_hamming(s: int) -> Wef:
@@ -147,9 +149,10 @@ def wef_hamming(s: int) -> Wef:
     m = (s + 1).bit_length() - 1
     if s < 3 or (1 << m) != s + 1:
         raise ValueError(f"invalid Hamming length {s}: s + 1 must be a power of two")
-    coeffs = [1, 0]
+    coeffs, binom = [1, 0], 1  # C(s, u), carried as C(s, u) = C(s, u-1) (s-u+1) / u
     for u in range(1, s):
-        rhs = math.comb(s, u) - coeffs[u] - (s - u + 1) * coeffs[u - 1]
+        binom = binom * (s - u + 1) // u
+        rhs = binom - coeffs[u] - (s - u + 1) * coeffs[u - 1]
         q, rem = divmod(rhs, u + 1)
         if rem:
             raise ArithmeticError(f"inexact division at weight {u + 1} in Hamming recurrence")
@@ -157,9 +160,7 @@ def wef_hamming(s: int) -> Wef:
     return Wef(coeffs=tuple(coeffs), length=s, dim=s - m, min_dist=3)
 
 
-def wef_from_parity_matrix(
-    rows: Sequence[int], n_cols: int, max_dim: int = ENUMERATION_LIMIT
-) -> Wef:
+def wef_from_parity_matrix(rows: Sequence[int], n_cols: int) -> Wef:
     """Exact WEF of the null space of a GF(2) parity-check matrix.
 
     Enumerates whichever of the code and its dual has smaller dimension
@@ -168,8 +169,8 @@ def wef_from_parity_matrix(
     pivots, echelon = gf2.row_reduce(rows, n_cols)
     r = len(pivots)
     k = n_cols - r
-    if min(k, r) > max_dim:
-        raise DimensionLimitError(min(k, r), max_dim, "null-space enumeration")
+    if min(k, r) > ENUMERATION_LIMIT:
+        raise DimensionLimitError(min(k, r), ENUMERATION_LIMIT, "null-space enumeration")
     if k <= r:
         basis = gf2.echelon_nullspace(pivots, echelon, n_cols)
         return Wef.from_coeffs(gf2.span_weight_histogram(basis, n_cols), n_cols)

@@ -55,8 +55,6 @@ class SampledCode:
                 degs[v] += 1
         if tuple(degs) != self.vn_degrees:
             raise ValueError("socket lists do not realize the stated VN degrees")
-        if self.types and any(t.parity is None for t in self.types):
-            raise ValueError("every CN type needs an explicit parity matrix")
 
     @functools.cached_property
     def parity_rows(self) -> Tuple[int, ...]:
@@ -175,14 +173,13 @@ def global_parity_rows(code: SampledCode) -> List[int]:
     return rows
 
 
-def min_distance(code: SampledCode, k_limit: int = DEFAULT_K_LIMIT
-                 ) -> Union[int, float]:
+def min_distance(code: SampledCode) -> Union[int, float]:
     """Exact minimum distance: least nonzero weight in `gf2.span_weight_histogram`.
 
     Returns math.inf for the zero code; refuses (DimensionLimitError) when
-    the code dimension exceeds k_limit, before the null space is built.
+    the code dimension exceeds DEFAULT_K_LIMIT, before the null space is built.
     """
-    basis = gf2.nullspace_basis(code.parity_rows, code.n, k_limit)
+    basis = gf2.nullspace_basis(code.parity_rows, code.n, DEFAULT_K_LIMIT)
     if not basis:
         return math.inf
     hist = gf2.span_weight_histogram(basis, code.n)
@@ -199,12 +196,11 @@ def has_weight_one_codeword(code: SampledCode) -> bool:
     return covered != (1 << code.n) - 1
 
 
-def wilson_interval(count: int, total: int, z: float = 1.959963984540054
-                    ) -> Tuple[float, float]:
+def wilson_interval(count: int, total: int) -> Tuple[float, float]:
     """95% Wilson score interval for a binomial fraction."""
     if total == 0:
         return (0.0, 1.0)
-    p = count / total
+    p, z = count / total, 1.959963984540054  # two-sided 95% normal quantile
     z2 = z * z
     denom = 1 + z2 / total
     center = (p + z2 / (2 * total)) / denom
@@ -235,8 +231,7 @@ class DminStats:
     seed: int
 
 
-def _run_trial(spec, n: int, seed: int, threshold_d: int, k_limit: int
-               ) -> Tuple[bool, Optional[bool]]:
+def _run_trial(spec, n: int, seed: int, threshold_d: int) -> Tuple[bool, Optional[bool]]:
     """(weight-1 found, min distance <= threshold or None if over limit)."""
     if isinstance(spec, VnRegularEnsemble):
         code = sample_vn_regular(spec, n, seed)
@@ -250,19 +245,13 @@ def _run_trial(spec, n: int, seed: int, threshold_d: int, k_limit: int
     if threshold_d == 1:
         return one, False
     try:
-        return one, min_distance(code, k_limit) <= threshold_d
+        return one, min_distance(code) <= threshold_d
     except DimensionLimitError:
         return one, None
 
 
-def estimate_dmin_stats(
-    spec: Union[VnRegularEnsemble, UnstructuredEnsemble],
-    n: int,
-    trials: int,
-    alpha_threshold: float,
-    rng_seed: int,
-    k_limit: int = DEFAULT_K_LIMIT,
-) -> DminStats:
+def estimate_dmin_stats(spec: Union[VnRegularEnsemble, UnstructuredEnsemble], n: int,
+                        trials: int, alpha_threshold: float, rng_seed: int) -> DminStats:
     """Sample `trials` codes and count weight-1 / small-distance events.
 
     Per-trial seeds derive from rng_seed, so results are identical across
@@ -272,7 +261,7 @@ def estimate_dmin_stats(
         raise ValueError(f"trials must be positive, got {trials}")
     validate_finite_instance(spec, n)
     threshold_d = math.floor(alpha_threshold * n)
-    results = [_run_trial(spec, n, _trial_seed(rng_seed, i), threshold_d, k_limit)
+    results = [_run_trial(spec, n, _trial_seed(rng_seed, i), threshold_d)
                for i in range(trials)]
     eq_one = sum(1 for one, _ in results if one)
     over = sum(1 for _, le in results if le is None)

@@ -42,29 +42,12 @@ class SpecFileError(ValueError):
 
 @dataclass(frozen=True)
 class SpecFile:
-    """Parsed ensemble description: a CN mixture plus one or two VN views."""
+    """Parsed ensemble description: a CN mixture plus its one or two VN views,
+    each built once at parse time (None when the spec omits that view)."""
 
     mixture: CnMixture
-    q: Optional[int]
-    lam: Optional[Dict[int, Any]]
-
-    @property
-    def has_vn_regular(self) -> bool:
-        return self.q is not None
-
-    @property
-    def has_unstructured(self) -> bool:
-        return self.lam is not None
-
-    def vn_regular(self) -> VnRegularEnsemble:
-        if self.q is None:
-            raise SpecFileError("spec has no 'q' field (VN-regular view)")
-        return VnRegularEnsemble(mixture=self.mixture, q=self.q)
-
-    def unstructured(self) -> UnstructuredEnsemble:
-        if self.lam is None:
-            raise SpecFileError("spec has no 'lambda' field (unstructured view)")
-        return UnstructuredEnsemble.of(self.mixture, self.lam)
+    vn_regular: Optional[VnRegularEnsemble]
+    unstructured: Optional[UnstructuredEnsemble]
 
 
 def _parse_cn_type(entry: Dict[str, Any], idx: int) -> CheckNodeType:
@@ -118,11 +101,12 @@ def parse_spec_dict(doc: Dict[str, Any]) -> SpecFile:
     except ValueError as exc:
         raise SpecFileError(f"rho: {exc}") from exc
 
-    q = doc.get("q")
-    if q is not None and (not isinstance(q, int) or q < 2):
-        raise SpecFileError(f"q: expected an integer >= 2, got {q!r}")
+    q, vn_regular, unstructured = doc.get("q"), None, None
+    if q is not None:
+        if not isinstance(q, int) or q < 2:
+            raise SpecFileError(f"q: expected an integer >= 2, got {q!r}")
+        vn_regular = VnRegularEnsemble(mixture=mixture, q=q)
     lam_raw = doc.get("lambda")
-    lam: Optional[Dict[int, Any]] = None
     if lam_raw is not None:
         if not isinstance(lam_raw, dict) or not lam_raw:
             raise SpecFileError("lambda: expected a non-empty object degree -> fraction")
@@ -136,21 +120,13 @@ def parse_spec_dict(doc: Dict[str, Any]) -> SpecFile:
                 lam[d] = to_fraction(val)
             except (ValueError, TypeError, ZeroDivisionError) as exc:
                 raise SpecFileError(f"lambda[{key}]: {exc}") from exc
-    if q is None and lam is None:
-        raise SpecFileError("spec needs 'q' and/or 'lambda'")
-    spec = SpecFile(mixture=mixture, q=q, lam=lam)
-    # materialize the views now so field errors surface with context
-    if spec.has_vn_regular:
         try:
-            spec.vn_regular()
-        except ValueError as exc:
-            raise SpecFileError(f"q: {exc}") from exc
-    if spec.has_unstructured:
-        try:
-            spec.unstructured()
+            unstructured = UnstructuredEnsemble.of(mixture, lam)
         except ValueError as exc:
             raise SpecFileError(f"lambda: {exc}") from exc
-    return spec
+    if vn_regular is None and unstructured is None:
+        raise SpecFileError("spec needs 'q' and/or 'lambda'")
+    return SpecFile(mixture=mixture, vn_regular=vn_regular, unstructured=unstructured)
 
 
 def load_spec_file(path: str) -> SpecFile:
@@ -167,29 +143,3 @@ def load_spec_file(path: str) -> SpecFile:
     except SpecFileError as exc:
         raise SpecFileError(f"{path}: {exc}") from exc
 
-
-def spec_to_dict(spec: SpecFile) -> Dict[str, Any]:
-    """Serialize back to the JSON schema (rationals as 'num/den' strings)."""
-    out: Dict[str, Any] = {"cn_types": [], "rho": [str(r) for r in spec.mixture.rho]}
-    for t in spec.mixture.types:
-        entry: Dict[str, Any] = {"s": t.s}
-        if t.parity == tuple(gf2.all_ones_row(t.s)):
-            entry["kind"] = "spc"
-        elif _is_hamming_parity(t):
-            entry["kind"] = "hamming"
-        else:
-            entry["kind"] = "explicit"
-            entry["parity"] = [gf2.bits_to_string(row, t.s) for row in t.parity or ()]
-        out["cn_types"].append(entry)
-    if spec.q is not None:
-        out["q"] = spec.q
-    if spec.lam is not None:
-        out["lambda"] = {str(d): str(to_fraction(f)) for d, f in sorted(spec.lam.items())}
-    return out
-
-
-def _is_hamming_parity(t: CheckNodeType) -> bool:
-    try:
-        return t.parity == tuple(gf2.hamming_parity(t.s))
-    except ValueError:
-        return False

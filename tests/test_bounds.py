@@ -77,6 +77,15 @@ class TestCoefLimit:
     def test_first_moment(self):
         assert even_coef_limit(600, 2.0, 1) == 600.0
 
+    def test_past_float_power(self):
+        # 6000**100 overflows a float; the limit itself does not
+        exact = Fraction(6000) ** 100 / math.factorial(100)
+        assert even_coef_limit(6000, 2.0, 100) == pytest.approx(float(exact), rel=1e-12)
+
+    def test_beyond_float_range(self):
+        with pytest.raises(ValueError, match="j=100.* 60000 edges"):
+            even_coef_limit(60000, 2.0, 100)
+
     def test_zero_density(self):
         for j in (1, 2, 3):
             assert even_coef_limit(100, 0.0, j) == 0.0
@@ -96,6 +105,14 @@ class TestConvergence:
         for r in rows:
             m = r.cn_total
             assert r.ratio == (m - 1) / m
+
+    def test_ratio_of_coefficient_beyond_float_range(self, spc3, ham15):
+        spec = UnstructuredEnsemble.of(
+            CnMixture.of([spc3, ham15], [Fraction(1, 100), Fraction(99, 100)]), {2: 1})
+        (row,) = even_coef_convergence(spec, 100, [300000])
+        assert row.exact_coef > 10**308
+        assert row.ratio == pytest.approx(
+            math.exp(math.log(row.exact_coef) - math.log(row.limit_value)), rel=1e-9)
 
     def test_ratio_nan_when_density_zero(self, ham7):
         spec = UnstructuredEnsemble.of(CnMixture.of([ham7], [1]), {2: 1})

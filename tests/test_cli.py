@@ -2,17 +2,17 @@ import glob
 import json
 import os
 import time
+from fractions import Fraction
 
 import pytest
 
-from gldpc.cli import MAX_GRID_POINTS, _parse_grid, main
+from gldpc.cli import MAX_GRID_POINTS, MAX_J, _parse_grid, main
 from gldpc.ensemble import MAX_DECIMAL_EXPONENT
 from gldpc.specfile import (
     MAX_CN_LENGTH,
     SpecFileError,
     load_spec_file,
     parse_spec_dict,
-    spec_to_dict,
 )
 
 from conftest import SPEC_DIR, spec_path
@@ -30,24 +30,11 @@ def run_fast(args, capsys):
     return capsys.readouterr().err
 
 
-def spec_signature(spec):
-    """Semantic identity: type shapes, exact rho, and both VN views."""
-    return (
-        tuple((t.s, t.k, t.r, t.wef.coeffs) for t in spec.mixture.types),
-        spec.mixture.rho,
-        spec.q,
-        None if spec.lam is None else tuple(sorted(spec.lam.items())),
-    )
-
-
 class TestSpecFiles:
-    def test_corpus_round_trips(self, tmp_path):
+    def test_corpus_analyzes(self, tmp_path):
         paths = sorted(glob.glob(os.path.join(SPEC_DIR, "*.json")))
         assert paths
         for i, path in enumerate(paths):
-            spec = load_spec_file(path)
-            again = parse_spec_dict(spec_to_dict(spec))
-            assert spec_signature(again) == spec_signature(spec), path
             out = tmp_path / f"report{i}.json"
             assert run(["analyze", path, "--out", str(out)]) == 0, path
             json.loads(out.read_text())
@@ -77,6 +64,14 @@ class TestSpecFiles:
         (t,) = spec.mixture.types
         assert (t.s, t.k, t.r) == (4, 2, 2)
         assert t.wef.coeffs == (1, 0, 2, 0, 1)
+
+    def test_views_built_on_the_shared_mixture(self):
+        spec = load_spec_file(spec_path("dual_view.json"))
+        assert spec.vn_regular.q == 2
+        assert dict(spec.unstructured.lam) == {2: Fraction(1, 10), 3: Fraction(9, 10)}
+        assert spec.vn_regular.mixture is spec.unstructured.mixture is spec.mixture
+        single = load_spec_file(spec_path("spc3_q2.json"))
+        assert single.unstructured is None and single.vn_regular.q == 2
 
     def test_needs_some_vn_view(self, tmp_path):
         doc = {"cn_types": [{"kind": "spc", "s": 3}], "rho": ["1"]}
@@ -268,6 +263,59 @@ class TestSample:
         assert abs(ref["min_distance_prob_bound"] - 0.020620726159657596) < 1e-12
 
 
+class TestViewSelection:
+    """Which VN view each command reads from a spec, and what it says on stderr."""
+
+    SAMPLE = ["--n", "147", "--trials", "2", "--alpha", "0.02", "--seed", "1"]
+
+    def test_sweep_needs_vn_regular_view(self, tmp_path, capsys):
+        assert run(["sweep", spec_path("bound_mix.json"),
+                    "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err == (
+            "error: spec has no 'q' field (VN-regular view)\n")
+
+    def test_coef_convergence_needs_unstructured_view(self, tmp_path, capsys):
+        assert run(["coef-convergence", spec_path("spc3_q2.json"), "--j", "1",
+                    "--n-list", "3", "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err == (
+            "error: spec has no 'lambda' field (unstructured view)\n")
+
+    def test_sample_dual_view_without_flag(self, tmp_path, capsys):
+        assert run(["sample", spec_path("dual_view.json"), *self.SAMPLE,
+                    "--out", str(tmp_path / "x.json")]) == 2
+        assert capsys.readouterr().err == (
+            "error: spec has both 'q' and 'lambda'; pick one with "
+            "--ensemble {vn-regular,unstructured}\n")
+
+    @pytest.mark.parametrize("flag,spec,field", [
+        ("vn-regular", "bound_mix.json", "'q' field (VN-regular view)"),
+        ("unstructured", "spc3_q2.json", "'lambda' field (unstructured view)")])
+    def test_sample_flag_needs_its_view(self, tmp_path, capsys, flag, spec, field):
+        assert run(["sample", spec_path(spec), *self.SAMPLE, "--ensemble", flag,
+                    "--out", str(tmp_path / "x.json")]) == 2
+        assert capsys.readouterr().err == f"error: spec has no {field}\n"
+
+    @pytest.mark.parametrize("argv,notice", [
+        (["sweep", "--gamma-grid", "0:1:1"], "'lambda' block for sweep"),
+        (["coef-convergence", "--j", "1", "--n-list", "147"],
+         "'q' block for coef-convergence"),
+        (["sample", *SAMPLE, "--ensemble", "unstructured"], "'q' block for sample"),
+    ], ids=["sweep", "coef-convergence", "sample"])
+    def test_dual_view_notice(self, tmp_path, capsys, argv, notice):
+        command, *opts = argv
+        assert run([command, spec_path("dual_view.json"), *opts,
+                    "--out", str(tmp_path / "x")]) == 0
+        assert capsys.readouterr().err == f"notice: ignoring the spec's {notice}\n"
+
+    def test_sample_vn_regular_notice_precedes_sampling(self, tmp_path, capsys):
+        assert run(["sample", spec_path("dual_view.json"), "--n", "140", "--trials", "2",
+                    "--alpha", "0.02", "--ensemble", "vn-regular",
+                    "--out", str(tmp_path / "x.json")]) == 2
+        notice, error = capsys.readouterr().err.splitlines()
+        assert notice == "notice: ignoring the spec's 'lambda' block for sample"
+        assert error.startswith("error: divisibility violation") and "210" in error
+
+
 class TestCoefConvergence:
     def test_first_order_ratio_is_one(self, tmp_path):
         out = tmp_path / "c.csv"
@@ -296,6 +344,22 @@ class TestCoefConvergence:
         assert run(["coef-convergence", spec_path("alldeg2_spc3.json"),
                     "--j", "0", "--n-list", "3",
                     "--out", str(tmp_path / "x.csv")]) == 2
+
+    @pytest.mark.parametrize("j,n_list,message", [
+        ("100", "30000", "j=100) at 60000 edges exceeds the float range"),
+        ("200", "30", f"--j: 200 is more than the cap of {MAX_J}"),
+        ("3000", "30000", f"--j: 3000 is more than the cap of {MAX_J}"),
+    ])
+    def test_large_j_exits_2(self, tmp_path, capsys, j, n_list, message):
+        err = run_fast(["coef-convergence", spec_path("alldeg2_spc3.json"), "--j", j,
+                        "--n-list", n_list, "--out", str(tmp_path / "x.csv")], capsys)
+        assert message in err
+
+    def test_j_cap_is_inclusive(self, tmp_path):
+        out = tmp_path / "c.csv"
+        assert run(["coef-convergence", spec_path("alldeg2_spc3.json"), "--j", str(MAX_J),
+                    "--n-list", "300", "--out", str(out)]) == 0
+        assert out.read_text().split("\n")[1].split(",")[3] == str(MAX_J)
 
     def test_needs_unstructured_view(self, tmp_path):
         assert run(["coef-convergence", spec_path("spc3_q2.json"),

@@ -78,7 +78,7 @@ class TestMixtureValidation:
     def test_cn_type_needs_min_distance_two(self):
         full_space = Wef.from_coeffs((1, 2, 1), length=2)
         with pytest.raises(ValueError, match="minimum distance"):
-            CheckNodeType(wef=full_space)
+            CheckNodeType(wef=full_space, parity=())
 
     def test_parity_must_match_wef(self, spc3):
         with pytest.raises(ValueError, match="does not match"):

@@ -143,7 +143,7 @@ class TestCriticalRatio:
         )
 
     def test_root_is_a_root(self, gallager_3_6):
-        curve = find_critical_ratio(gallager_3_6, root_tol=1e-10)
+        curve = find_critical_ratio(gallager_3_6)
         assert abs(growth_rate(gallager_3_6, curve.critical_ratio)) <= 1e-10
         below = [g for a, g in zip(curve.rel_weights, curve.growth)
                  if a < curve.critical_ratio]
@@ -400,7 +400,7 @@ class TestRootCertification:
             assert not (curve.root_located and curve.critical_ratio < 0.1)
 
     def test_diagnostics(self, gallager_3_6, ham7, spc3_mixture):
-        curve = find_critical_ratio(gallager_3_6, root_tol=1e-10)
+        curve = find_critical_ratio(gallager_3_6)
         lo, hi = curve.bracket
         assert lo <= curve.critical_ratio <= hi
         assert 0 < hi - lo <= 2e-10

@@ -128,7 +128,7 @@ class TestWefConstructors:
     def test_spc2(self):
         assert wef_spc(2).coeffs == (1, 0, 1)
 
-    @pytest.mark.parametrize("s", range(2, 17))
+    @pytest.mark.parametrize("s", [*range(2, 17), 64, 65, 1023])
     def test_spc_sum_and_parity_oracle(self, s):
         w = wef_spc(s)
         assert sum(w.coeffs) == 1 << (s - 1)

@@ -196,8 +196,8 @@ class TestMinDistance:
     def test_dimension_refusal_reports_k(self, alldeg2_spc3):
         code = sample_unstructured(alldeg2_spc3, 300, 5)
         with pytest.raises(DimensionLimitError) as err:
-            min_distance(code, k_limit=10)
-        assert err.value.dim > 10
+            min_distance(code)
+        assert err.value.dim > DEFAULT_K_LIMIT
 
     def test_refused_from_the_rank(self, gallager_3_6, monkeypatch):
         # (3,6) at n=600 has k near 300: refused before any basis vector is built
