@@ -23,6 +23,12 @@ MAX_GRID_POINTS = 10_001
 #: Largest --j coef-convergence accepts; a row costs about j^2 log n bigint work (2-vCPU
 #: VM: 0.3 s at j = 100, n = 3e6; 4.3 s at j = 300, n = 3e5). A larger j exits 2.
 MAX_J = 100
+#: Largest sample --n; one (3,6) trial's elimination grows about as n^2.3 (2-vCPU VM:
+#: 0.07 s at n = 6000, 1.8 s and 102 MB peak at n = 30 000, 16 s at n = 60 000).
+MAX_N = 30_000
+#: Most sample --trials; the cheapest trial costs about 70 us and an A7-sized
+#: one (n = 147) about 0.9 ms (2-vCPU VM), so the cap is 7 s to 90 s of trials.
+MAX_TRIALS = 100_000
 
 
 def _fmt(x: Optional[float]) -> str:
@@ -167,6 +173,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_sample(args: argparse.Namespace) -> int:
     if not math.isfinite(args.alpha):
         raise SpecFileError(f"--alpha must be finite, got {args.alpha}")
+    for flag, value, cap in (("--n", args.n, MAX_N), ("--trials", args.trials, MAX_TRIALS)):
+        if value > cap:
+            raise SpecFileError(f"{flag}: {value} is more than the cap of {cap}")
     spec = load_spec_file(args.spec)
     view = _select_view(spec, args.ensemble, "sample")
     stats = sampler.estimate_dmin_stats(
@@ -261,8 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="Monte Carlo minimum-distance statistics")
     p.add_argument("spec")
-    p.add_argument("--n", type=int, required=True, help="block length")
-    p.add_argument("--trials", type=int, required=True)
+    p.add_argument("--n", type=int, required=True, help=f"block length, at most {MAX_N}")
+    p.add_argument("--trials", type=int, required=True, help=f"at most {MAX_TRIALS}")
     p.add_argument("--alpha", type=float, required=True,
                    help="relative distance threshold")
     p.add_argument("--seed", type=int, default=0)

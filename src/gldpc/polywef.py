@@ -8,6 +8,7 @@ them in the log domain.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -74,50 +75,37 @@ def coef(p: Sequence[int], i: int) -> int:
 
 @dataclass(frozen=True)
 class Wef:
-    """Weight enumerating function of an (length, dim) binary linear code.
+    """Weight enumerating function of a binary linear code.
 
-    coeffs[u] is the exact number of weight-u codewords. min_dist is the
-    smallest nonzero codeword weight, or None for the zero-dimensional code.
+    coeffs[u] is the exact number of weight-u codewords; the length, the
+    dimension and the minimum distance are read from them.
     """
 
     coeffs: IntPoly
-    length: int
-    dim: int
-    min_dist: Optional[int]
 
     def __post_init__(self):
-        c = self.coeffs
-        if len(c) != self.length + 1:
-            raise ValueError(
-                f"WEF has {len(c)} coefficients, expected length+1 = {self.length + 1}"
-            )
-        if c[0] != 1:
+        c = tuple(self.coeffs)
+        object.__setattr__(self, "coeffs", c)
+        if not c or c[0] != 1:
             raise ValueError("WEF must have exactly one weight-0 codeword")
         if any(a < 0 for a in c):
             raise ValueError("WEF coefficients must be nonnegative")
-        if sum(c) != 1 << self.dim:
-            raise ValueError(
-                f"WEF coefficients sum to {sum(c)}, expected 2^{self.dim}"
-            )
-        first = next((u for u in range(1, len(c)) if c[u]), None)
-        if first != self.min_dist:
-            raise ValueError(
-                f"stated minimum distance {self.min_dist} does not match "
-                f"first nonzero weight {first}"
-            )
-
-    @classmethod
-    def from_coeffs(cls, coeffs: Sequence[int], length: Optional[int] = None) -> "Wef":
-        """Build a Wef from raw coefficients, deriving dim and min_dist."""
-        if length is None:
-            length = len(coeffs) - 1
-        c = tuple(coeffs) + (0,) * (length + 1 - len(coeffs))
         total = sum(c)
-        dim = total.bit_length() - 1
-        if 1 << dim != total:
-            raise ValueError(f"coefficient sum {total} is not a power of two")
-        first = next((u for u in range(1, len(c)) if c[u]), None)
-        return cls(coeffs=c, length=length, dim=dim, min_dist=first)
+        if total & (total - 1):
+            raise ValueError(f"WEF coefficients sum to {total}, not a power of two")
+
+    @functools.cached_property
+    def length(self) -> int:
+        return len(self.coeffs) - 1
+
+    @functools.cached_property
+    def dim(self) -> int:
+        return sum(self.coeffs).bit_length() - 1
+
+    @functools.cached_property
+    def min_dist(self) -> Optional[int]:
+        """Smallest nonzero codeword weight, or None for the zero-dimensional code."""
+        return next((u for u in range(1, len(self.coeffs)) if self.coeffs[u]), None)
 
     @property
     def degree(self) -> int:
@@ -136,7 +124,7 @@ def wef_spc(s: int) -> Wef:
     for u in range(s + 1):
         coeffs.append(0 if u % 2 else binom)
         binom = binom * (s - u) // (u + 1)
-    return Wef(coeffs=tuple(coeffs), length=s, dim=s - 1, min_dist=2)
+    return Wef(coeffs)
 
 
 def wef_hamming(s: int) -> Wef:
@@ -157,7 +145,7 @@ def wef_hamming(s: int) -> Wef:
         if rem:
             raise ArithmeticError(f"inexact division at weight {u + 1} in Hamming recurrence")
         coeffs.append(q)
-    return Wef(coeffs=tuple(coeffs), length=s, dim=s - m, min_dist=3)
+    return Wef(coeffs)
 
 
 def wef_from_parity_matrix(rows: Sequence[int], n_cols: int) -> Wef:
@@ -173,8 +161,8 @@ def wef_from_parity_matrix(rows: Sequence[int], n_cols: int) -> Wef:
         raise DimensionLimitError(min(k, r), ENUMERATION_LIMIT, "null-space enumeration")
     if k <= r:
         basis = gf2.echelon_nullspace(pivots, echelon, n_cols)
-        return Wef.from_coeffs(gf2.span_weight_histogram(basis, n_cols), n_cols)
-    dual = Wef.from_coeffs(gf2.span_weight_histogram(echelon, n_cols), n_cols)
+        return Wef(gf2.span_weight_histogram(basis, n_cols))
+    dual = Wef(gf2.span_weight_histogram(echelon, n_cols))
     return macwilliams(dual)
 
 
@@ -197,5 +185,5 @@ def macwilliams(w: Wef) -> Wef:
     bad = next((u for u, v in enumerate(acc) if v % (1 << w.dim)), None)
     if bad is not None:
         raise ArithmeticError(f"inconsistent input WEF: inexact division at weight {bad}")
-    return Wef.from_coeffs([v >> w.dim for v in acc], s)
+    return Wef([v >> w.dim for v in acc])
 

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import gf2
 from .ensemble import (
+    InstancePlan,
     UnstructuredEnsemble,
     VnRegularEnsemble,
     validate_finite_instance,
@@ -40,21 +41,27 @@ class SampledCode:
     n: int
     types: Tuple  # CheckNodeType per type index
     cns: Tuple[Tuple[int, Tuple[int, ...]], ...]
-    vn_degrees: Tuple[int, ...]
-    seed: int
-    ensemble: str
 
     def __post_init__(self):
-        degs = [0] * self.n
-        for t, sockets in self.cns:
-            if len(sockets) != self.types[t].s:
+        sizes = [t.s for t in self.types]
+        for i, (t, sockets) in enumerate(self.cns):
+            if len(sockets) != sizes[t]:
                 raise ValueError(
-                    f"type-{t} CN has {len(sockets)} sockets, expected {self.types[t].s}"
+                    f"type-{t} CN has {len(sockets)} sockets, expected {sizes[t]}"
                 )
+            lo, hi = min(sockets), max(sockets)
+            if lo < 0 or hi >= self.n:
+                raise ValueError(f"CN {i} has socket {lo if lo < 0 else hi}, outside "
+                                 f"the VN range 0..{self.n - 1}")
+
+    @property
+    def vn_degrees(self) -> Tuple[int, ...]:
+        """Number of sockets on each VN, counted from the socket lists."""
+        degs = [0] * self.n
+        for _, sockets in self.cns:
             for v in sockets:
                 degs[v] += 1
-        if tuple(degs) != self.vn_degrees:
-            raise ValueError("socket lists do not realize the stated VN degrees")
+        return tuple(degs)
 
     @functools.cached_property
     def parity_rows(self) -> Tuple[int, ...]:
@@ -71,61 +78,40 @@ def _trial_seed(base_seed: int, trial: int) -> int:
     return int(child.generate_state(1, np.uint64)[0])
 
 
-def sample_vn_regular(spec: VnRegularEnsemble, n: int, rng_seed: int) -> SampledCode:
+def _slice(types: Tuple, n: int, sockets: List[int], counts: Sequence[int]) -> SampledCode:
+    """Cut `sockets` into consecutive CNs: counts[i] CNs of type i mod len(types)."""
+    cns: List[Tuple[int, Tuple[int, ...]]] = []
+    pos = 0
+    for i, count in enumerate(counts):
+        t = i % len(types)
+        s = types[t].s
+        for _ in range(count):
+            cns.append((t, tuple(sockets[pos:pos + s])))
+            pos += s
+    return SampledCode(n=n, types=types, cns=tuple(cns))
+
+
+def sample_vn_regular(spec: VnRegularEnsemble, plan: InstancePlan,
+                      rng_seed: int) -> SampledCode:
     """Draw one code: a block-diagonal CN layer plus q-1 column permutations.
 
     Layer 1 attaches CNs to consecutive VN indices in type order; each
     further layer applies an independent uniform permutation of the VNs.
     """
-    plan = validate_finite_instance(spec, n)
     rng = _rng_for(rng_seed)
-    layout: List[Tuple[int, int, int]] = []  # (type, start, stop) in layer order
-    pos = 0
-    for t, count in enumerate(plan.per_layer_cn_counts or ()):
-        s = spec.mixture.types[t].s
-        for _ in range(count):
-            layout.append((t, pos, pos + s))
-            pos += s
-    cns: List[Tuple[int, Tuple[int, ...]]] = []
-    for layer in range(spec.q):
-        perm = list(range(n)) if layer == 0 else rng.permutation(n).tolist()
-        for t, start, stop in layout:
-            cns.append((t, tuple(perm[start:stop])))
-    return SampledCode(
-        n=n,
-        types=spec.mixture.types,
-        cns=tuple(cns),
-        vn_degrees=(spec.q,) * n,
-        seed=rng_seed,
-        ensemble=VN_REGULAR,
-    )
+    sockets = list(range(plan.n))
+    for _ in range(spec.q - 1):
+        sockets += rng.permutation(plan.n).tolist()
+    return _slice(spec.mixture.types, plan.n, sockets, plan.per_layer_cn_counts * spec.q)
 
 
-def sample_unstructured(spec: UnstructuredEnsemble, n: int,
+def sample_unstructured(spec: UnstructuredEnsemble, plan: InstancePlan,
                         rng_seed: int) -> SampledCode:
     """Draw one configuration-model code: a uniform matching of edge sockets."""
-    plan = validate_finite_instance(spec, n)
     rng = _rng_for(rng_seed)
-    vn_degrees: List[int] = []
-    for d, count in plan.vn_degree_counts:
-        vn_degrees.extend([d] * count)
-    vn_sockets = np.repeat(np.arange(n), vn_degrees)
-    matched = rng.permutation(vn_sockets).tolist()
-    cns: List[Tuple[int, Tuple[int, ...]]] = []
-    pos = 0
-    for t, count in enumerate(plan.cn_counts):
-        s = spec.mixture.types[t].s
-        for _ in range(count):
-            cns.append((t, tuple(matched[pos:pos + s])))
-            pos += s
-    return SampledCode(
-        n=n,
-        types=spec.mixture.types,
-        cns=tuple(cns),
-        vn_degrees=tuple(vn_degrees),
-        seed=rng_seed,
-        ensemble=UNSTRUCTURED,
-    )
+    degrees = [d for d, count in plan.vn_degree_counts for _ in range(count)]
+    matched = rng.permutation(np.repeat(np.arange(plan.n), degrees)).tolist()
+    return _slice(spec.mixture.types, plan.n, matched, plan.cn_counts)
 
 
 def _local_word(v_mask: int, sockets: Sequence[int]) -> int:
@@ -231,12 +217,8 @@ class DminStats:
     seed: int
 
 
-def _run_trial(spec, n: int, seed: int, threshold_d: int) -> Tuple[bool, Optional[bool]]:
+def _run_trial(code: SampledCode, threshold_d: int) -> Tuple[bool, Optional[bool]]:
     """(weight-1 found, min distance <= threshold or None if over limit)."""
-    if isinstance(spec, VnRegularEnsemble):
-        code = sample_vn_regular(spec, n, seed)
-    else:
-        code = sample_unstructured(spec, n, seed)
     one = has_weight_one_codeword(code)
     if threshold_d < 1:
         return one, False
@@ -259,9 +241,10 @@ def estimate_dmin_stats(spec: Union[VnRegularEnsemble, UnstructuredEnsemble], n:
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
-    validate_finite_instance(spec, n)
+    plan = validate_finite_instance(spec, n)
+    draw = sample_vn_regular if isinstance(spec, VnRegularEnsemble) else sample_unstructured
     threshold_d = math.floor(alpha_threshold * n)
-    results = [_run_trial(spec, n, _trial_seed(rng_seed, i), threshold_d)
+    results = [_run_trial(draw(spec, plan, _trial_seed(rng_seed, i)), threshold_d)
                for i in range(trials)]
     eq_one = sum(1 for one, _ in results if one)
     over = sum(1 for _, le in results if le is None)

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from gldpc.cli import MAX_GRID_POINTS, MAX_J, _parse_grid, main
+from gldpc.cli import MAX_GRID_POINTS, MAX_J, MAX_N, MAX_TRIALS, _parse_grid, main
 from gldpc.ensemble import MAX_DECIMAL_EXPONENT
 from gldpc.specfile import (
     MAX_CN_LENGTH,
@@ -209,11 +209,10 @@ class TestCnLengthCap:
 
 
 class TestSample:
-    def test_byte_identical_runs_and_thread_counts(self, tmp_path, monkeypatch):
+    def test_byte_identical_runs(self, tmp_path):
         spec = spec_path("alldeg2_spc3.json")
         outputs = []
-        for threads in ("1", "4", "1"):
-            monkeypatch.setenv("GLDPC_THREADS", threads)
+        for _ in range(3):
             out = tmp_path / f"s{len(outputs)}.json"
             assert run(["sample", spec, "--n", "30", "--trials", "50",
                         "--alpha", "0.034", "--seed", "7",
@@ -227,6 +226,21 @@ class TestSample:
                     "--trials", "5", f"--alpha={alpha}", "--seed", "1",
                     "--out", str(tmp_path / "x.json")]) == 2
         assert "--alpha" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,cap", [("--n", MAX_N), ("--trials", MAX_TRIALS)])
+    def test_size_over_cap_exits_2(self, tmp_path, capsys, flag, cap):
+        sizes = {"--n": "147", "--trials": "2", flag: str(cap + 1)}
+        err = run_fast(["sample", spec_path("bound_mix.json"), "--n", sizes["--n"],
+                        "--trials", sizes["--trials"], "--alpha", "0.02",
+                        "--out", str(tmp_path / "x.json")], capsys)
+        assert f"{flag}: {cap + 1} is more than the cap of {cap}" in err
+
+    def test_size_caps_are_inclusive(self, tmp_path, capsys):
+        # both caps pass; the run stops at the plan, since 147 does not divide MAX_N
+        err = run_fast(["sample", spec_path("bound_mix.json"), "--n", str(MAX_N),
+                        "--trials", str(MAX_TRIALS), "--alpha", "0.02",
+                        "--out", str(tmp_path / "x.json")], capsys)
+        assert "cap" not in err and "divisibility violation" in err
 
     def test_divisibility_failure_suggests_length(self, tmp_path, capsys):
         assert run(["sample", spec_path("bound_mix.json"), "--n", "200",

@@ -76,7 +76,7 @@ class TestMixtureValidation:
             CnMixture.of([spc3], ["1/2", "1/2"])
 
     def test_cn_type_needs_min_distance_two(self):
-        full_space = Wef.from_coeffs((1, 2, 1), length=2)
+        full_space = Wef((1, 2, 1))
         with pytest.raises(ValueError, match="minimum distance"):
             CheckNodeType(wef=full_space, parity=())
 

@@ -18,6 +18,7 @@ from gldpc.ensemble import (
     CnMixture,
     UnstructuredEnsemble,
     VnRegularEnsemble,
+    validate_finite_instance,
 )
 from gldpc.polywef import wef_from_parity_matrix
 from gldpc.sampler import (
@@ -121,10 +122,10 @@ def _stacked(kind, seed):
     if kind == "bound_mix":
         spec = UnstructuredEnsemble.of(CnMixture.of([spc3, ham7], ["1/5", "4/5"]),
                                        {2: "1/10", 3: "9/10"})
-        code = sample_unstructured(spec, 147, seed)
+        code = sample_unstructured(spec, validate_finite_instance(spec, 147), seed)
     else:
         spec = VnRegularEnsemble(mixture=CnMixture.of([spc6], [1]), q=3)
-        code = sample_vn_regular(spec, 600, seed)
+        code = sample_vn_regular(spec, validate_finite_instance(spec, 600), seed)
     return global_parity_rows(code), code.n
 
 
@@ -171,15 +172,12 @@ def _spc(s):
 def code_from_rows(rows, n):
     """A code whose stacked parity rows are `rows`: one SPC check per row, on
     the row's support padded to length n + 1 or n + 2 with pairs of VN 0."""
-    cns, degs = [], [0] * n
+    cns = []
     for r in rows:
         support = tuple(v for v in range(n) if (r >> v) & 1)
         t = (n + 1 - len(support)) & 1
         cns.append((t, support + (0,) * (n + 1 + t - len(support))))
-        for v in cns[-1][1]:
-            degs[v] += 1
-    return SampledCode(n=n, types=(_spc(n + 1), _spc(n + 2)), cns=tuple(cns),
-                       vn_degrees=tuple(degs), seed=0, ensemble="unstructured")
+    return SampledCode(n=n, types=(_spc(n + 1), _spc(n + 2)), cns=tuple(cns))
 
 
 @settings(max_examples=150, deadline=None)

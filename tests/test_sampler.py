@@ -27,18 +27,7 @@ from gldpc.sampler import (
 
 
 def make_code(types, cns, n):
-    degs = [0] * n
-    for _, sockets in cns:
-        for v in sockets:
-            degs[v] += 1
-    return SampledCode(
-        n=n,
-        types=tuple(types),
-        cns=tuple(cns),
-        vn_degrees=tuple(degs),
-        seed=0,
-        ensemble="unstructured",
-    )
+    return SampledCode(n=n, types=tuple(types), cns=tuple(cns))
 
 
 def random_small_ensemble(rng):
@@ -64,8 +53,8 @@ def random_small_ensemble(rng):
 
 def sample_any(spec, n, seed):
     if isinstance(spec, VnRegularEnsemble):
-        return sample_vn_regular(spec, n, seed)
-    return sample_unstructured(spec, n, seed)
+        return sample_vn_regular(spec, validate_finite_instance(spec, n), seed)
+    return sample_unstructured(spec, validate_finite_instance(spec, n), seed)
 
 
 def full_scan_min_distance(code):
@@ -90,7 +79,7 @@ def full_scan_min_distance(code):
 class TestVnRegularSampling:
     def test_minimal_instance_structure(self, spc3_mixture):
         spec = VnRegularEnsemble(mixture=spc3_mixture, q=2)
-        code = sample_vn_regular(spec, 3, 42)
+        code = sample_vn_regular(spec, validate_finite_instance(spec, 3), 42)
         assert len(code.cns) == 2
         assert sorted(code.cns[0][1]) == [0, 1, 2]
         assert sorted(code.cns[1][1]) == [0, 1, 2]
@@ -99,40 +88,41 @@ class TestVnRegularSampling:
     def test_vn_degrees_equal_q(self, spc3, ham7):
         m = CnMixture.of([spc3, ham7], ["3/10", "7/10"])
         spec = VnRegularEnsemble(mixture=m, q=3)
-        code = sample_vn_regular(spec, 10, 5)
+        code = sample_vn_regular(spec, validate_finite_instance(spec, 10), 5)
         assert code.vn_degrees == (3,) * 10
 
     def test_layer_counts_match_plan(self, spc3, ham7):
         m = CnMixture.of([spc3, ham7], ["3/10", "7/10"])
         spec = VnRegularEnsemble(mixture=m, q=3)
         plan = validate_finite_instance(spec, 20)
-        code = sample_vn_regular(spec, 20, 5)
+        code = sample_vn_regular(spec, plan, 5)
         for t, count in enumerate(plan.cn_counts):
             assert sum(1 for tt, _ in code.cns if tt == t) == count
 
     def test_determinism_and_seed_sensitivity(self, spc3_mixture):
         spec = VnRegularEnsemble(mixture=spc3_mixture, q=2)
-        a = sample_vn_regular(spec, 9, 123)
-        b = sample_vn_regular(spec, 9, 123)
-        c = sample_vn_regular(spec, 9, 124)
+        plan = validate_finite_instance(spec, 9)
+        a = sample_vn_regular(spec, plan, 123)
+        b = sample_vn_regular(spec, plan, 123)
+        c = sample_vn_regular(spec, plan, 124)
         assert a == b
         assert a != c
 
     def test_infeasible_length_rejected(self, spc3_mixture):
         spec = VnRegularEnsemble(mixture=spc3_mixture, q=2)
         with pytest.raises(ValueError):
-            sample_vn_regular(spec, 4, 0)
+            estimate_dmin_stats(spec, 4, 1, 0.5, 0)
 
 
 class TestUnstructuredSampling:
     def test_minimal_instance_structure(self, alldeg2_spc3):
-        code = sample_unstructured(alldeg2_spc3, 3, 7)
+        code = sample_any(alldeg2_spc3, 3, 7)
         assert len(code.cns) == 2
         assert code.vn_degrees == (2, 2, 2)
 
     def test_realized_degree_fractions_exact(self, bound_mix_ensemble):
         plan = validate_finite_instance(bound_mix_ensemble, 147)
-        code = sample_unstructured(bound_mix_ensemble, 147, 99)
+        code = sample_unstructured(bound_mix_ensemble, plan, 99)
         hist = {}
         for d in code.vn_degrees:
             hist[d] = hist.get(d, 0) + 1
@@ -141,19 +131,32 @@ class TestUnstructuredSampling:
             assert sum(1 for tt, _ in code.cns if tt == t) == count
 
     def test_determinism(self, alldeg2_spc3):
-        assert sample_unstructured(alldeg2_spc3, 30, 7) == sample_unstructured(
-            alldeg2_spc3, 30, 7
+        plan = validate_finite_instance(alldeg2_spc3, 30)
+        assert sample_unstructured(alldeg2_spc3, plan, 7) == sample_unstructured(
+            alldeg2_spc3, plan, 7
         )
+
+
+class TestSampledCode:
+    def test_socket_count_checked(self, spc3):
+        with pytest.raises(ValueError, match="expected 3"):
+            make_code([spc3], [(0, (0, 1))], 3)
+
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_socket_range_checked(self, spc3, bad):
+        # socket -1 used to wrap to the last VN and socket n raised IndexError
+        with pytest.raises(ValueError, match=r"CN 1 has socket .* range 0\.\.2"):
+            make_code([spc3], [(0, (0, 1, 2)), (0, (0, bad, 1))], 3)
 
 
 class TestCodewordChecks:
     def test_zero_vector_always_codeword(self, alldeg2_spc3):
-        code = sample_unstructured(alldeg2_spc3, 30, 1)
+        code = sample_any(alldeg2_spc3, 30, 1)
         assert is_codeword(code, [0] * 30)
 
     def test_minimal_even_weight_word(self, spc3_mixture):
         spec = VnRegularEnsemble(mixture=spc3_mixture, q=2)
-        code = sample_vn_regular(spec, 3, 42)
+        code = sample_vn_regular(spec, validate_finite_instance(spec, 3), 42)
         assert is_codeword(code, [1, 1, 0])
         assert not is_codeword(code, [1, 0, 0])
 
@@ -170,12 +173,12 @@ class TestCodewordChecks:
                 assert local == glob
 
     def test_vector_length_checked(self, alldeg2_spc3):
-        code = sample_unstructured(alldeg2_spc3, 3, 7)
+        code = sample_any(alldeg2_spc3, 3, 7)
         with pytest.raises(ValueError):
             is_codeword(code, [0, 1])
 
     def test_int_vector_range_checked(self, alldeg2_spc3):
-        code = sample_unstructured(alldeg2_spc3, 3, 7)
+        code = sample_any(alldeg2_spc3, 3, 7)
         is_codeword(code, 0b111)  # the largest word of length 3 is accepted
         for v in (-1, 1 << 3, 1 << 40):
             with pytest.raises(ValueError):
@@ -194,7 +197,7 @@ class TestMinDistance:
         assert min_distance(code) == math.inf
 
     def test_dimension_refusal_reports_k(self, alldeg2_spc3):
-        code = sample_unstructured(alldeg2_spc3, 300, 5)
+        code = sample_any(alldeg2_spc3, 300, 5)
         with pytest.raises(DimensionLimitError) as err:
             min_distance(code)
         assert err.value.dim > DEFAULT_K_LIMIT
@@ -205,7 +208,7 @@ class TestMinDistance:
             raise AssertionError("echelon_nullspace ran on a code over the cap")
 
         monkeypatch.setattr(gf2, "echelon_nullspace", no_back_substitution)
-        code = sample_vn_regular(gallager_3_6, 600, 3)
+        code = sample_any(gallager_3_6, 600, 3)
         with pytest.raises(DimensionLimitError) as err:
             min_distance(code)
         assert err.value.dim == code.n - gf2.rank(code.parity_rows, code.n)
@@ -235,7 +238,7 @@ class TestWeightOne:
 
     def test_distinct_cns_block_weight_one(self, spc3_mixture):
         spec = VnRegularEnsemble(mixture=spc3_mixture, q=2)
-        code = sample_vn_regular(spec, 3, 42)
+        code = sample_vn_regular(spec, validate_finite_instance(spec, 3), 42)
         assert not has_weight_one_codeword(code)
 
     def test_equivalent_to_unit_distance(self):
@@ -289,6 +292,17 @@ class TestStats:
         # no weight-1 word and nothing over the limit: every trial reached min_distance
         assert stats.count_eq_one == 0 and stats.count_k_over_limit == 0
         assert len(built) == 6
+
+    def test_one_plan_per_call(self, ham7, monkeypatch):
+        import gldpc.sampler
+
+        plans = []
+        plan = gldpc.sampler.validate_finite_instance
+        monkeypatch.setattr(gldpc.sampler, "validate_finite_instance",
+                            lambda spec, n: plans.append(n) or plan(spec, n))
+        spec = VnRegularEnsemble(mixture=CnMixture.of([ham7], [1]), q=2)
+        estimate_dmin_stats(spec, 14, 6, 0.5, 11)
+        assert plans == [14]
 
     def test_empirical_union_bound(self, bound_mix_ensemble):
         from gldpc.bounds import min_distance_prob_bound
