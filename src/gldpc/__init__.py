@@ -23,7 +23,6 @@ from .ensemble import (
     degree_two_edge_fraction,
     design_rate,
     validate_finite_instance,
-    vn_degree_fractions,
     weight_two_density,
 )
 from .gf2 import DimensionLimitError
@@ -43,7 +42,6 @@ from .growth import (
 )
 from .polywef import (
     Wef,
-    coef,
     macwilliams,
     poly_mul,
     poly_pow,
@@ -57,7 +55,6 @@ from .sampler import (
     estimate_dmin_stats,
     global_parity_rows,
     has_weight_one_codeword,
-    is_codeword,
     min_distance,
     sample_unstructured,
     sample_vn_regular,

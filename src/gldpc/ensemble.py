@@ -9,11 +9,12 @@ finite-instance divisibility checks never suffer float noise.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 from . import gf2, polywef
 from .polywef import Wef
@@ -68,32 +69,30 @@ class DivisibilityError(ValueError):
 
 @dataclass(frozen=True)
 class CheckNodeType:
-    """A local code placed at check nodes: its WEF plus a parity-check matrix.
+    """A local code placed at check nodes, given by its parity-check matrix.
 
-    The matrix rows are int bitmasks over `wef.length` columns. Minimum
-    distance must be at least 2 for use at a CN.
+    The matrix rows are linearly independent int bitmasks over s columns; the
+    WEF is derived from them once. Minimum distance must be at least 2 for use
+    at a CN.
     """
 
-    wef: Wef
+    s: int
     parity: Tuple[int, ...]
 
     def __post_init__(self):
+        bad = next((row for row in self.parity if not 0 <= row < 1 << self.s), None)
+        if bad is not None:
+            raise ValueError(f"parity row {bad} is not a bitmask over {self.s} columns")
+        if self.wef.dim != self.s - len(self.parity):
+            raise ValueError("parity matrix is rank deficient")
         if self.wef.min_dist is None or self.wef.min_dist < 2:
             raise ValueError(
                 f"CN local code must have minimum distance >= 2, got {self.wef.min_dist}"
             )
-        s, k = self.wef.length, self.wef.dim
-        if len(self.parity) != s - k:
-            raise ValueError(f"parity matrix has {len(self.parity)} rows, expected {s - k}")
-        derived = polywef.wef_from_parity_matrix(self.parity, s)
-        if derived.dim != k:
-            raise ValueError("parity matrix is rank deficient")
-        if derived != self.wef:
-            raise ValueError("parity matrix does not match the stated WEF")
 
-    @property
-    def s(self) -> int:
-        return self.wef.length
+    @functools.cached_property
+    def wef(self) -> Wef:
+        return polywef.wef_from_parity_matrix(self.parity, self.s)
 
     @property
     def k(self) -> int:
@@ -105,17 +104,15 @@ class CheckNodeType:
 
     @classmethod
     def spc(cls, s: int) -> "CheckNodeType":
-        return cls(wef=polywef.wef_spc(s), parity=tuple(gf2.all_ones_row(s)))
+        return cls(s=s, parity=tuple(gf2.all_ones_row(s)))
 
     @classmethod
     def hamming(cls, s: int) -> "CheckNodeType":
-        return cls(wef=polywef.wef_hamming(s), parity=tuple(gf2.hamming_parity(s)))
+        return cls(s=s, parity=tuple(gf2.hamming_parity(s)))
 
     @classmethod
     def explicit(cls, rows: Sequence[int], n_cols: int) -> "CheckNodeType":
-        echelon = gf2.row_reduce(rows, n_cols)[1]
-        return cls(wef=polywef.wef_from_parity_matrix(echelon, n_cols),
-                   parity=tuple(echelon))
+        return cls(s=n_cols, parity=tuple(gf2.row_reduce(rows, n_cols)[1]))
 
 
 @dataclass(frozen=True)
@@ -240,22 +237,25 @@ def vns_per_edge_exact(spec: UnstructuredEnsemble) -> Fraction:
     return sum((f / d for d, f in spec.lam), Fraction(0))
 
 
-def vn_degree_fractions(spec: UnstructuredEnsemble) -> Dict[int, float]:
-    """Node-perspective VN degree fractions lambda_d / (d * int lambda)."""
-    total = vns_per_edge_exact(spec)
-    return {d: float(f / (d * total)) for d, f in spec.lam}
-
-
 @dataclass(frozen=True)
 class InstancePlan:
-    """Exact integer counts for one finite code drawn from an ensemble."""
+    """Exact integer counts for one finite code of block length n drawn from spec.
 
+    A VN-regular plan's cn_counts hold all q layers: each is a multiple of q.
+    """
+
+    spec: Union[VnRegularEnsemble, UnstructuredEnsemble]
     n: int
-    edges: int
-    cn_total: int
     cn_counts: Tuple[int, ...]
     vn_degree_counts: Tuple[Tuple[int, int], ...]
-    per_layer_cn_counts: Optional[Tuple[int, ...]] = None
+
+    @property
+    def edges(self) -> int:
+        return sum(d * count for d, count in self.vn_degree_counts)
+
+    @property
+    def cn_total(self) -> int:
+        return sum(self.cn_counts)
 
 
 def _feasible_n(constraints: List[Fraction]) -> int:
@@ -277,7 +277,6 @@ def validate_finite_instance(
         raise ValueError(f"block length must be positive, got {n}")
     m = spec.mixture
     if isinstance(spec, VnRegularEnsemble):
-        q = spec.q
         per_layer = [n * r / t.s for t, r in zip(m.types, m.rho)]
         unit = _feasible_n([r / t.s for t, r in zip(m.types, m.rho)])
         nearest = ((n + unit - 1) // unit) * unit
@@ -286,15 +285,9 @@ def validate_finite_instance(
                 raise DivisibilityError(
                     f"per-layer count of type-{idx} CNs (n*rho_t/s_t)", c, nearest
                 )
-        counts = tuple(int(c) * q for c in per_layer)
-        return InstancePlan(
-            n=n,
-            edges=n * q,
-            cn_total=sum(counts),
-            cn_counts=counts,
-            vn_degree_counts=((q, n),),
-            per_layer_cn_counts=tuple(int(c) for c in per_layer),
-        )
+        return InstancePlan(spec=spec, n=n,
+                            cn_counts=tuple(int(c) * spec.q for c in per_layer),
+                            vn_degree_counts=((spec.q, n),))
 
     # unstructured: counts scale with edges = n / int(lambda)
     vpe = vns_per_edge_exact(spec)
@@ -320,10 +313,5 @@ def validate_finite_instance(
         if c.denominator != 1:
             raise DivisibilityError(f"count of type-{idx} CNs (E*rho_t/s_t)", c, nearest)
         cn_counts.append(int(c))
-    return InstancePlan(
-        n=n,
-        edges=int(edges),
-        cn_total=sum(cn_counts),
-        cn_counts=tuple(cn_counts),
-        vn_degree_counts=tuple(vn_counts),
-    )
+    return InstancePlan(spec=spec, n=n, cn_counts=tuple(cn_counts),
+                        vn_degree_counts=tuple(vn_counts))

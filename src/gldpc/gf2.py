@@ -109,10 +109,6 @@ def span_weight_histogram(basis: Sequence[int], n_cols: int) -> List[int]:
     return hist.tolist()
 
 
-def dot_parity(row: int, v: int) -> int:
-    return (row & v).bit_count() & 1
-
-
 def all_ones_row(s: int) -> List[int]:
     """Parity-check matrix of the length-s single parity check code."""
     return [(1 << s) - 1]
@@ -137,21 +133,13 @@ def hamming_parity(s: int) -> List[int]:
     return rows
 
 
-def matrix_from_rows(rows: Iterable[Sequence[int] | str], n_cols: int) -> List[int]:
-    """Bitmask rows from 0/1 sequences or bit strings."""
+def matrix_from_rows(rows: Iterable[str], n_cols: int) -> List[int]:
+    """Bitmask rows from bit strings of length n_cols (see `parse_bits`)."""
     out = []
-    for row in rows:
-        if isinstance(row, str):
-            if len(row) != n_cols:
-                raise ValueError(f"row {row!r} has length {len(row)}, expected {n_cols}")
-            out.append(parse_bits(row))
-        else:
-            if len(row) != n_cols:
-                raise ValueError(f"row has length {len(row)}, expected {n_cols}")
-            mask = 0
-            for i, b in enumerate(row):
-                if b not in (0, 1):
-                    raise ValueError(f"matrix entries must be 0/1, got {b!r}")
-                mask |= b << i
-            out.append(mask)
+    for i, row in enumerate(rows):
+        if not isinstance(row, str):
+            raise ValueError(f"row {i}: expected a bit string, got {type(row).__name__}")
+        if len(row) != n_cols:
+            raise ValueError(f"row {row!r} has length {len(row)}, expected {n_cols}")
+        out.append(parse_bits(row))
     return out

@@ -66,13 +66,6 @@ def poly_pow(a: Sequence[int], n: int, trunc: Optional[int] = None) -> IntPoly:
     return result
 
 
-def coef(p: Sequence[int], i: int) -> int:
-    """Coefficient of x**i; zero beyond the degree."""
-    if i < 0:
-        raise ValueError("exponent must be nonnegative")
-    return p[i] if i < len(p) else 0
-
-
 @dataclass(frozen=True)
 class Wef:
     """Weight enumerating function of a binary linear code.

@@ -28,6 +28,11 @@ UNSTRUCTURED = "unstructured"
 
 #: Largest code dimension min_distance will enumerate exhaustively.
 DEFAULT_K_LIMIT = 28
+#: Most edges a sampled code may have, refused before any draw: a large q or lambda
+#: degree at small n is otherwise unbounded. A trial's draw costs about linear in the
+#: edges (2-vCPU VM, SPC-3 at n = 3: 0.13 s and 40 MB at 90 000 edges, 2.1 s and 91 MB
+#: at 10^6); 90 000 is (3,6) at the largest --n, 30 000.
+MAX_EDGES = 90_000
 
 
 @dataclass(frozen=True)
@@ -91,56 +96,34 @@ def _slice(types: Tuple, n: int, sockets: List[int], counts: Sequence[int]) -> S
     return SampledCode(n=n, types=types, cns=tuple(cns))
 
 
-def sample_vn_regular(spec: VnRegularEnsemble, plan: InstancePlan,
-                      rng_seed: int) -> SampledCode:
+def sample_vn_regular(plan: InstancePlan, rng_seed: int) -> SampledCode:
     """Draw one code: a block-diagonal CN layer plus q-1 column permutations.
 
     Layer 1 attaches CNs to consecutive VN indices in type order; each
     further layer applies an independent uniform permutation of the VNs.
     """
+    spec = plan.spec
+    if not isinstance(spec, VnRegularEnsemble):
+        raise ValueError(f"sample_vn_regular needs a VN-regular plan, got "
+                         f"{type(spec).__name__}")
     rng = _rng_for(rng_seed)
     sockets = list(range(plan.n))
     for _ in range(spec.q - 1):
         sockets += rng.permutation(plan.n).tolist()
-    return _slice(spec.mixture.types, plan.n, sockets, plan.per_layer_cn_counts * spec.q)
+    per_layer = [c // spec.q for c in plan.cn_counts]
+    return _slice(spec.mixture.types, plan.n, sockets, per_layer * spec.q)
 
 
-def sample_unstructured(spec: UnstructuredEnsemble, plan: InstancePlan,
-                        rng_seed: int) -> SampledCode:
+def sample_unstructured(plan: InstancePlan, rng_seed: int) -> SampledCode:
     """Draw one configuration-model code: a uniform matching of edge sockets."""
+    spec = plan.spec
+    if not isinstance(spec, UnstructuredEnsemble):
+        raise ValueError(f"sample_unstructured needs an unstructured plan, got "
+                         f"{type(spec).__name__}")
     rng = _rng_for(rng_seed)
     degrees = [d for d, count in plan.vn_degree_counts for _ in range(count)]
     matched = rng.permutation(np.repeat(np.arange(plan.n), degrees)).tolist()
     return _slice(spec.mixture.types, plan.n, matched, plan.cn_counts)
-
-
-def _local_word(v_mask: int, sockets: Sequence[int]) -> int:
-    w = 0
-    for p, v in enumerate(sockets):
-        if (v_mask >> v) & 1:
-            w |= 1 << p
-    return w
-
-
-def _satisfies(code: SampledCode, t: int, word: int) -> bool:
-    return all(gf2.dot_parity(row, word) == 0 for row in code.types[t].parity)
-
-
-def is_codeword(code: SampledCode, v: Union[Sequence[int], int]) -> bool:
-    """True iff every CN sees a local codeword on its sockets, in order."""
-    if isinstance(v, int):
-        if v < 0 or v >> code.n:
-            raise ValueError(f"vector {v} is not a word of length {code.n}")
-        mask = v
-    else:
-        if len(v) != code.n:
-            raise ValueError(f"vector length {len(v)} != block length {code.n}")
-        mask = 0
-        for i, b in enumerate(v):
-            if b:
-                mask |= 1 << i
-    return all(_satisfies(code, t, _local_word(mask, sockets))
-               for t, sockets in code.cns)
 
 
 def global_parity_rows(code: SampledCode) -> List[int]:
@@ -242,9 +225,11 @@ def estimate_dmin_stats(spec: Union[VnRegularEnsemble, UnstructuredEnsemble], n:
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     plan = validate_finite_instance(spec, n)
+    if plan.edges > MAX_EDGES:
+        raise ValueError(f"n = {n} gives {plan.edges} edges, more than the cap of {MAX_EDGES}")
     draw = sample_vn_regular if isinstance(spec, VnRegularEnsemble) else sample_unstructured
     threshold_d = math.floor(alpha_threshold * n)
-    results = [_run_trial(draw(spec, plan, _trial_seed(rng_seed, i)), threshold_d)
+    results = [_run_trial(draw(plan, _trial_seed(rng_seed, i)), threshold_d)
                for i in range(trials)]
     eq_one = sum(1 for one, _ in results if one)
     over = sum(1 for _, le in results if le is None)

@@ -32,7 +32,8 @@ from .ensemble import (
 )
 
 #: Longest CN type a spec may declare, of any kind: a type's WEF costs bigint work
-#: growing faster than s^2, so a huge "s" would hang (spc 8000 takes 3.8 s).
+#: growing faster than s^2, so a huge "s" would hang (2-vCPU VM: spc 1023 takes
+#: 0.003 s, spc 8000 0.07 s, spc 32000 1.0 s).
 MAX_CN_LENGTH = 1023
 
 

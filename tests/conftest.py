@@ -11,6 +11,28 @@ def spec_path(name: str) -> str:
     return os.path.join(SPEC_DIR, name)
 
 
+def dot_parity(row: int, v: int) -> int:
+    return (row & v).bit_count() & 1
+
+
+def is_codeword(code, v) -> bool:
+    """Membership oracle: every CN of a SampledCode sees a local codeword on its
+    sockets, in order. v is a 0/1 sequence or an int bitmask of length code.n."""
+    if isinstance(v, int):
+        if v < 0 or v >> code.n:
+            raise ValueError(f"vector {v} is not a word of length {code.n}")
+        mask = v
+    else:
+        if len(v) != code.n:
+            raise ValueError(f"vector length {len(v)} != block length {code.n}")
+        mask = sum(1 << i for i, b in enumerate(v) if b)
+    for t, sockets in code.cns:
+        local = sum(1 << p for p, u in enumerate(sockets) if (mask >> u) & 1)
+        if any(dot_parity(row, local) for row in code.types[t].parity):
+            return False
+    return True
+
+
 @pytest.fixture(scope="session")
 def spc3():
     return CheckNodeType.spc(3)

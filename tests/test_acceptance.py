@@ -37,13 +37,12 @@ from gldpc.sampler import (
     estimate_dmin_stats,
     global_parity_rows,
     has_weight_one_codeword,
-    is_codeword,
     min_distance,
     sample_unstructured,
     sample_vn_regular,
 )
 
-from conftest import spec_path
+from conftest import is_codeword, spec_path
 
 
 @contextlib.contextmanager
@@ -89,8 +88,8 @@ def random_small_ensemble(rng):
 
 def sample_any(spec, n, seed):
     if isinstance(spec, VnRegularEnsemble):
-        return sample_vn_regular(spec, validate_finite_instance(spec, n), seed)
-    return sample_unstructured(spec, validate_finite_instance(spec, n), seed)
+        return sample_vn_regular(validate_finite_instance(spec, n), seed)
+    return sample_unstructured(validate_finite_instance(spec, n), seed)
 
 
 def gray_scan_min_distance(code):

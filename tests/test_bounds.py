@@ -21,7 +21,12 @@ from gldpc.ensemble import (
     UnstructuredEnsemble,
     VnRegularEnsemble,
 )
-from gldpc.polywef import coef, poly_mul, poly_pow
+from gldpc.polywef import poly_mul, poly_pow
+
+
+def coef(p, i):
+    """Coefficient of x**i; zero beyond the degree."""
+    return p[i] if i < len(p) else 0
 
 
 def central_binomial_series(x: float, rtol: float = 1e-14,

@@ -8,6 +8,7 @@ import pytest
 
 from gldpc.cli import MAX_GRID_POINTS, MAX_J, MAX_N, MAX_TRIALS, _parse_grid, main
 from gldpc.ensemble import MAX_DECIMAL_EXPONENT
+from gldpc.sampler import MAX_EDGES
 from gldpc.specfile import (
     MAX_CN_LENGTH,
     SpecFileError,
@@ -79,6 +80,21 @@ class TestSpecFiles:
         p.write_text(json.dumps(doc))
         with pytest.raises(SpecFileError, match="'q' and/or 'lambda'"):
             load_spec_file(str(p))
+
+
+class TestParityRows:
+    """Explicit parity rows are bit strings; any other row exits 2 naming the field."""
+
+    @pytest.mark.parametrize("row", [3, [1, 1, 0, 0], [True, True, False, False]],
+                             ids=["number", "array", "booleans"])
+    def test_non_string_row_exits_2(self, tmp_path, capsys, row):
+        # a number row used to end in a TypeError traceback; arrays were accepted
+        p = tmp_path / "rows.json"
+        p.write_text(json.dumps({"cn_types": [{"kind": "explicit", "s": 4,
+                                               "parity": ["0011", row]}],
+                                 "rho": ["1"], "q": 2}))
+        err = run_fast(["analyze", str(p)], capsys)
+        assert "cn_types[0].parity: row 1: expected a bit string" in err
 
 
 class TestAnalyze:
@@ -241,6 +257,32 @@ class TestSample:
                         "--trials", str(MAX_TRIALS), "--alpha", "0.02",
                         "--out", str(tmp_path / "x.json")], capsys)
         assert "cap" not in err and "divisibility violation" in err
+
+    @staticmethod
+    def _one_degree_spec(tmp_path, view):
+        p = tmp_path / "wide.json"
+        p.write_text(json.dumps({"cn_types": [{"kind": "spc", "s": 2}], "rho": ["1"],
+                                 **view}))
+        return str(p)
+
+    @pytest.mark.parametrize("view,n,edges", [
+        ({"q": MAX_EDGES // 2 + 1}, 2, MAX_EDGES + 2),
+        ({"lambda": {str(MAX_EDGES // 10): "1"}}, 11, MAX_EDGES // 10 * 11),
+    ], ids=["q", "lambda"])
+    def test_edges_over_cap_exit_2(self, tmp_path, capsys, view, n, edges):
+        # q and the lambda degrees have no cap of their own, so a small n could
+        # still draw an unbounded code
+        spec = self._one_degree_spec(tmp_path, view)
+        err = run_fast(["sample", spec, "--n", str(n), "--trials", "1", "--alpha", "0.1",
+                        "--out", str(tmp_path / "x.json")], capsys)
+        assert f"n = {n} gives {edges} edges, more than the cap of {MAX_EDGES}" in err
+
+    def test_edge_cap_is_inclusive(self, tmp_path):
+        spec = self._one_degree_spec(tmp_path, {"lambda": {str(MAX_EDGES // 10): "1"}})
+        out = tmp_path / "x.json"
+        assert run(["sample", spec, "--n", "10", "--trials", "1", "--alpha", "0.1",
+                    "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["trials"] == 1
 
     def test_divisibility_failure_suggests_length(self, tmp_path, capsys):
         assert run(["sample", spec_path("bound_mix.json"), "--n", "200",

@@ -18,10 +18,9 @@ from gldpc.ensemble import (
     design_rate,
     to_fraction,
     validate_finite_instance,
-    vn_degree_fractions,
     weight_two_density,
 )
-from gldpc.polywef import Wef
+from gldpc import polywef
 
 TYPE_POOL = [
     CheckNodeType.spc(2),
@@ -76,17 +75,37 @@ class TestMixtureValidation:
             CnMixture.of([spc3], ["1/2", "1/2"])
 
     def test_cn_type_needs_min_distance_two(self):
-        full_space = Wef((1, 2, 1))
         with pytest.raises(ValueError, match="minimum distance"):
-            CheckNodeType(wef=full_space, parity=())
+            CheckNodeType(s=2, parity=())  # the full space, minimum distance 1
 
-    def test_parity_must_match_wef(self, spc3):
-        with pytest.raises(ValueError, match="does not match"):
-            CheckNodeType(wef=spc3.wef, parity=(0b011,))
-
-    def test_parity_rank_deficient(self, spc3):
+    def test_parity_rank_deficient(self):
         with pytest.raises(ValueError, match="rank deficient"):
-            CheckNodeType(wef=spc3.wef, parity=(0,))
+            CheckNodeType(s=3, parity=(0b111, 0b111))
+
+    @pytest.mark.parametrize("row", [0b1111, 1 << 40, -1])
+    def test_parity_row_outside_the_columns(self, row):
+        # a row of width 4 used to fail in a numpy broadcast, and -1 in int.to_bytes
+        with pytest.raises(ValueError, match=f"parity row {row} is not a bitmask over 3"):
+            CheckNodeType(s=3, parity=(0b011, row))
+
+
+class TestCnTypeWef:
+    @pytest.mark.parametrize("build,s", [
+        (CheckNodeType.spc, 6), (CheckNodeType.hamming, 15),
+        (lambda s: CheckNodeType.explicit([0b1100, 0b0011, 0b1111], s), 4),
+    ], ids=["spc", "hamming", "explicit"])
+    def test_wef_derived_once_from_the_rows(self, monkeypatch, build, s):
+        calls = []
+
+        def counted(name, fn):
+            return lambda *a: calls.append(name) or fn(*a)
+
+        for name in ("wef_from_parity_matrix", "wef_spc", "wef_hamming"):
+            monkeypatch.setattr(polywef, name, counted(name, getattr(polywef, name)))
+        t = build(s)
+        assert (t.s, t.k, t.r) == (t.wef.length, t.wef.dim, t.wef.min_dist)
+        assert len(t.parity) == s - t.k  # explicit drops its dependent third row
+        assert calls == ["wef_from_parity_matrix"]
 
 
 class TestScalarParameters:
@@ -167,17 +186,6 @@ class TestScalarParameters:
             UnstructuredEnsemble.of(spc3_mixture, {2: "1/10", 3: "9/10"})
         ) == pytest.approx(0.1)
 
-    def test_vn_degree_fractions(self, spc3_mixture):
-        assert vn_degree_fractions(
-            UnstructuredEnsemble.of(spc3_mixture, {2: 1})
-        ) == {2: 1.0}
-        got = vn_degree_fractions(
-            UnstructuredEnsemble.of(spc3_mixture, {2: "1/2", 4: "1/2"})
-        )
-        assert got[2] == pytest.approx(2 / 3, abs=1e-14)
-        assert got[4] == pytest.approx(1 / 3, abs=1e-14)
-        assert sum(got.values()) == pytest.approx(1.0, abs=1e-12)
-
 
 class TestInstancePlanning:
     def test_vn_regular_minimal(self, spc3_mixture):
@@ -185,7 +193,7 @@ class TestInstancePlanning:
             VnRegularEnsemble(mixture=spc3_mixture, q=2), 3
         )
         assert (plan.edges, plan.cn_total) == (6, 2)
-        assert plan.per_layer_cn_counts == (1,)
+        assert plan.cn_counts == (2,)  # one CN per layer, two layers
         assert plan.vn_degree_counts == ((2, 3),)
 
     def test_vn_regular_divisibility(self, spc3_mixture):

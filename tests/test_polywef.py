@@ -8,7 +8,6 @@ from gldpc import gf2
 from gldpc.gf2 import DimensionLimitError
 from gldpc.polywef import (
     Wef,
-    coef,
     macwilliams,
     poly_mul,
     poly_pow,
@@ -108,15 +107,9 @@ class TestPolyOps:
             expected = poly_mul(expected, p)
         assert poly_pow(p, n) == expected
 
-    def test_coef_read_off(self):
-        assert coef((1, 3, 3, 1), 2) == 3
-
-    def test_coef_out_of_range(self):
-        assert coef((1, 1), 5) == 0
-
     @pytest.mark.parametrize("m", [1, 2, 5, 40])
     def test_coef_power_family(self, m):
-        assert coef(poly_pow((1, 0, 3), m), 2) == 3 * m
+        assert poly_pow((1, 0, 3), m)[2] == 3 * m
 
 
 class TestWefConstructors:

@@ -24,7 +24,6 @@ PUBLIC_NAMES = [
     "Wef",
     "cn_type_fractions",
     "cns_per_edge",
-    "coef",
     "degree_two_edge_fraction",
     "design_rate",
     "edge_weight_limit",
@@ -38,7 +37,6 @@ PUBLIC_NAMES = [
     "growth_rate",
     "gv_relative_distance",
     "has_weight_one_codeword",
-    "is_codeword",
     "load_spec_file",
     "macwilliams",
     "min_distance",
@@ -54,7 +52,6 @@ PUBLIC_NAMES = [
     "tilted_edge_weight",
     "two_type_sweep",
     "validate_finite_instance",
-    "vn_degree_fractions",
     "wef_from_parity_matrix",
     "wef_hamming",
     "wef_spc",

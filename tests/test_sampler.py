@@ -11,19 +11,20 @@ from gldpc.ensemble import (
     VnRegularEnsemble,
     validate_finite_instance,
 )
-from gldpc.gf2 import DimensionLimitError, dot_parity
+from gldpc.gf2 import DimensionLimitError
 from gldpc.sampler import (
     DEFAULT_K_LIMIT,
     SampledCode,
     estimate_dmin_stats,
     global_parity_rows,
     has_weight_one_codeword,
-    is_codeword,
     min_distance,
     sample_unstructured,
     sample_vn_regular,
     wilson_interval,
 )
+
+from conftest import dot_parity, is_codeword
 
 
 def make_code(types, cns, n):
@@ -53,8 +54,8 @@ def random_small_ensemble(rng):
 
 def sample_any(spec, n, seed):
     if isinstance(spec, VnRegularEnsemble):
-        return sample_vn_regular(spec, validate_finite_instance(spec, n), seed)
-    return sample_unstructured(spec, validate_finite_instance(spec, n), seed)
+        return sample_vn_regular(validate_finite_instance(spec, n), seed)
+    return sample_unstructured(validate_finite_instance(spec, n), seed)
 
 
 def full_scan_min_distance(code):
@@ -79,7 +80,7 @@ def full_scan_min_distance(code):
 class TestVnRegularSampling:
     def test_minimal_instance_structure(self, spc3_mixture):
         spec = VnRegularEnsemble(mixture=spc3_mixture, q=2)
-        code = sample_vn_regular(spec, validate_finite_instance(spec, 3), 42)
+        code = sample_vn_regular(validate_finite_instance(spec, 3), 42)
         assert len(code.cns) == 2
         assert sorted(code.cns[0][1]) == [0, 1, 2]
         assert sorted(code.cns[1][1]) == [0, 1, 2]
@@ -88,25 +89,30 @@ class TestVnRegularSampling:
     def test_vn_degrees_equal_q(self, spc3, ham7):
         m = CnMixture.of([spc3, ham7], ["3/10", "7/10"])
         spec = VnRegularEnsemble(mixture=m, q=3)
-        code = sample_vn_regular(spec, validate_finite_instance(spec, 10), 5)
+        code = sample_vn_regular(validate_finite_instance(spec, 10), 5)
         assert code.vn_degrees == (3,) * 10
 
     def test_layer_counts_match_plan(self, spc3, ham7):
         m = CnMixture.of([spc3, ham7], ["3/10", "7/10"])
         spec = VnRegularEnsemble(mixture=m, q=3)
         plan = validate_finite_instance(spec, 20)
-        code = sample_vn_regular(spec, plan, 5)
+        code = sample_vn_regular(plan, 5)
         for t, count in enumerate(plan.cn_counts):
             assert sum(1 for tt, _ in code.cns if tt == t) == count
 
     def test_determinism_and_seed_sensitivity(self, spc3_mixture):
         spec = VnRegularEnsemble(mixture=spc3_mixture, q=2)
         plan = validate_finite_instance(spec, 9)
-        a = sample_vn_regular(spec, plan, 123)
-        b = sample_vn_regular(spec, plan, 123)
-        c = sample_vn_regular(spec, plan, 124)
+        a = sample_vn_regular(plan, 123)
+        b = sample_vn_regular(plan, 123)
+        c = sample_vn_regular(plan, 124)
         assert a == b
         assert a != c
+
+    def test_rejects_an_unstructured_plan(self, alldeg2_spc3):
+        # used to fail as TypeError on None * q
+        with pytest.raises(ValueError, match="needs a VN-regular plan"):
+            sample_vn_regular(validate_finite_instance(alldeg2_spc3, 3), 1)
 
     def test_infeasible_length_rejected(self, spc3_mixture):
         spec = VnRegularEnsemble(mixture=spc3_mixture, q=2)
@@ -122,7 +128,7 @@ class TestUnstructuredSampling:
 
     def test_realized_degree_fractions_exact(self, bound_mix_ensemble):
         plan = validate_finite_instance(bound_mix_ensemble, 147)
-        code = sample_unstructured(bound_mix_ensemble, plan, 99)
+        code = sample_unstructured(plan, 99)
         hist = {}
         for d in code.vn_degrees:
             hist[d] = hist.get(d, 0) + 1
@@ -132,9 +138,12 @@ class TestUnstructuredSampling:
 
     def test_determinism(self, alldeg2_spc3):
         plan = validate_finite_instance(alldeg2_spc3, 30)
-        assert sample_unstructured(alldeg2_spc3, plan, 7) == sample_unstructured(
-            alldeg2_spc3, plan, 7
-        )
+        assert sample_unstructured(plan, 7) == sample_unstructured(plan, 7)
+
+    def test_rejects_a_vn_regular_plan(self, spc3_mixture):
+        spec = VnRegularEnsemble(mixture=spc3_mixture, q=2)
+        with pytest.raises(ValueError, match="needs an unstructured plan"):
+            sample_unstructured(validate_finite_instance(spec, 3), 1)
 
 
 class TestSampledCode:
@@ -156,7 +165,7 @@ class TestCodewordChecks:
 
     def test_minimal_even_weight_word(self, spc3_mixture):
         spec = VnRegularEnsemble(mixture=spc3_mixture, q=2)
-        code = sample_vn_regular(spec, validate_finite_instance(spec, 3), 42)
+        code = sample_vn_regular(validate_finite_instance(spec, 3), 42)
         assert is_codeword(code, [1, 1, 0])
         assert not is_codeword(code, [1, 0, 0])
 
@@ -238,7 +247,7 @@ class TestWeightOne:
 
     def test_distinct_cns_block_weight_one(self, spc3_mixture):
         spec = VnRegularEnsemble(mixture=spc3_mixture, q=2)
-        code = sample_vn_regular(spec, validate_finite_instance(spec, 3), 42)
+        code = sample_vn_regular(validate_finite_instance(spec, 3), 42)
         assert not has_weight_one_codeword(code)
 
     def test_equivalent_to_unit_distance(self):
