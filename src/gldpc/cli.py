@@ -26,8 +26,9 @@ MAX_J = 100
 #: Largest sample --n; one (3,6) trial's elimination grows about as n^2.3 (2-vCPU VM:
 #: 0.07 s at n = 6000, 1.8 s and 102 MB peak at n = 30 000, 16 s at n = 60 000).
 MAX_N = 30_000
-#: Most sample --trials; the cheapest trial costs about 70 us and an A7-sized
-#: one (n = 147) about 0.9 ms (2-vCPU VM), so the cap is 7 s to 90 s of trials.
+#: Most sample --trials; the cheapest trial costs about 60 us and an A7-sized
+#: one (n = 147, read from the columns) about 0.3 ms (2-vCPU VM), so the cap is
+#: 6 s to 30 s of trials.
 MAX_TRIALS = 100_000
 
 
@@ -171,11 +172,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
-    if not math.isfinite(args.alpha):
-        raise SpecFileError(f"--alpha must be finite, got {args.alpha}")
     for flag, value, cap in (("--n", args.n, MAX_N), ("--trials", args.trials, MAX_TRIALS)):
         if value > cap:
             raise SpecFileError(f"{flag}: {value} is more than the cap of {cap}")
+    # the threshold floor(alpha * n) needs a finite product; max() keeps a huge
+    # negative --n, which the plan refuses, from overflowing it here
+    if not math.isfinite(args.alpha * max(args.n, 1)):
+        raise SpecFileError(f"--alpha must make alpha * n finite, got {args.alpha} "
+                            f"at n = {args.n}")
     spec = load_spec_file(args.spec)
     view = _select_view(spec, args.ensemble, "sample")
     stats = sampler.estimate_dmin_stats(

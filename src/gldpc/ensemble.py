@@ -94,6 +94,12 @@ class CheckNodeType:
     def wef(self) -> Wef:
         return polywef.wef_from_parity_matrix(self.parity, self.s)
 
+    @functools.cached_property
+    def columns(self) -> Tuple[int, ...]:
+        """Column p of the parity matrix as a bitmask over its rows, for each p < s."""
+        return tuple(sum(((row >> p) & 1) << i for i, row in enumerate(self.parity))
+                     for p in range(self.s))
+
     @property
     def k(self) -> int:
         return self.wef.dim

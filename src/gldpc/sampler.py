@@ -59,19 +59,25 @@ class SampledCode:
                 raise ValueError(f"CN {i} has socket {lo if lo < 0 else hi}, outside "
                                  f"the VN range 0..{self.n - 1}")
 
-    @property
-    def vn_degrees(self) -> Tuple[int, ...]:
-        """Number of sockets on each VN, counted from the socket lists."""
-        degs = [0] * self.n
-        for _, sockets in self.cns:
-            for v in sockets:
-                degs[v] += 1
-        return tuple(degs)
-
     @functools.cached_property
     def parity_rows(self) -> Tuple[int, ...]:
         """The stacked parity-check rows (`global_parity_rows`), built once."""
         return tuple(global_parity_rows(self))
+
+    @functools.cached_property
+    def columns(self) -> Tuple[int, ...]:
+        """The stacked parity-check matrix's columns, one bitmask per VN over the
+        rows of `parity_rows`, built from the socket lists with one XOR per socket.
+        """
+        layout = [(ctype.columns, len(ctype.parity)) for ctype in self.types]
+        cols = [0] * self.n
+        offset = 0
+        for t, sockets in self.cns:
+            patterns, n_rows = layout[t]
+            for v, pattern in zip(sockets, patterns):
+                cols[v] ^= pattern << offset
+            offset += n_rows
+        return tuple(cols)
 
 
 def _rng_for(seed: int) -> np.random.Generator:
@@ -183,9 +189,11 @@ def wilson_interval(count: int, total: int) -> Tuple[float, float]:
 class DminStats:
     """Monte Carlo counts of small-minimum-distance events.
 
-    count_le_threshold counts min distance <= floor(threshold_alpha * n);
-    trials whose dimension exceeded the enumeration limit are reported in
-    count_k_over_limit and excluded from that fraction's denominator.
+    count_le_threshold counts min distance <= floor(threshold_alpha * n). A
+    threshold <= 2 is decided exactly from the parity-check columns whatever the
+    code dimension; above that, trials whose dimension exceeded the enumeration
+    limit are reported in count_k_over_limit and excluded from that fraction's
+    denominator.
     """
 
     trials: int
@@ -201,14 +209,20 @@ class DminStats:
 
 
 def _run_trial(code: SampledCode, threshold_d: int) -> Tuple[bool, Optional[bool]]:
-    """(weight-1 found, min distance <= threshold or None if over limit)."""
+    """(weight-1 found, min distance <= threshold or None if over limit).
+
+    A threshold <= 2 is read from the columns: a weight-1 codeword is a zero
+    column and a weight-2 one a repeated column, so no row is built or reduced.
+    """
+    if threshold_d <= 2:
+        cols = code.columns
+        one = 0 in cols
+        if threshold_d < 1:
+            return one, False
+        return one, one or (threshold_d == 2 and len(set(cols)) < len(cols))
     one = has_weight_one_codeword(code)
-    if threshold_d < 1:
-        return one, False
     if one:
         return one, True
-    if threshold_d == 1:
-        return one, False
     try:
         return one, min_distance(code) <= threshold_d
     except DimensionLimitError:

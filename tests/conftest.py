@@ -15,6 +15,15 @@ def dot_parity(row: int, v: int) -> int:
     return (row & v).bit_count() & 1
 
 
+def vn_degrees(code):
+    """Number of sockets on each VN of a SampledCode, counted from its socket lists."""
+    degs = [0] * code.n
+    for _, sockets in code.cns:
+        for v in sockets:
+            degs[v] += 1
+    return tuple(degs)
+
+
 def is_codeword(code, v) -> bool:
     """Membership oracle: every CN of a SampledCode sees a local codeword on its
     sockets, in order. v is a 0/1 sequence or an int bitmask of length code.n."""

@@ -236,12 +236,14 @@ class TestSample:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1] == outputs[2]
 
-    @pytest.mark.parametrize("alpha", ["inf", "-inf", "nan"])
+    # +-1e308 is finite, but alpha * n is not: it used to end in an OverflowError
+    @pytest.mark.parametrize("alpha", ["inf", "-inf", "nan", "1e308", "-1e308"])
     def test_non_finite_alpha_rejected(self, tmp_path, capsys, alpha):
-        assert run(["sample", spec_path("alldeg2_spc3.json"), "--n", "30",
-                    "--trials", "5", f"--alpha={alpha}", "--seed", "1",
-                    "--out", str(tmp_path / "x.json")]) == 2
-        assert "--alpha" in capsys.readouterr().err
+        err = run_fast(["sample", spec_path("alldeg2_spc3.json"), "--n", "30",
+                        "--trials", "5", f"--alpha={alpha}", "--seed", "1",
+                        "--out", str(tmp_path / "x.json")], capsys)
+        assert "--alpha must make alpha * n finite" in err
+        assert not (tmp_path / "x.json").exists()
 
     @pytest.mark.parametrize("flag,cap", [("--n", MAX_N), ("--trials", MAX_TRIALS)])
     def test_size_over_cap_exits_2(self, tmp_path, capsys, flag, cap):

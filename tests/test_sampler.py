@@ -15,6 +15,7 @@ from gldpc.gf2 import DimensionLimitError
 from gldpc.sampler import (
     DEFAULT_K_LIMIT,
     SampledCode,
+    _run_trial,
     estimate_dmin_stats,
     global_parity_rows,
     has_weight_one_codeword,
@@ -24,7 +25,7 @@ from gldpc.sampler import (
     wilson_interval,
 )
 
-from conftest import dot_parity, is_codeword
+from conftest import dot_parity, is_codeword, vn_degrees
 
 
 def make_code(types, cns, n):
@@ -90,7 +91,7 @@ class TestVnRegularSampling:
         m = CnMixture.of([spc3, ham7], ["3/10", "7/10"])
         spec = VnRegularEnsemble(mixture=m, q=3)
         code = sample_vn_regular(validate_finite_instance(spec, 10), 5)
-        assert code.vn_degrees == (3,) * 10
+        assert vn_degrees(code) == (3,) * 10
 
     def test_layer_counts_match_plan(self, spc3, ham7):
         m = CnMixture.of([spc3, ham7], ["3/10", "7/10"])
@@ -124,13 +125,13 @@ class TestUnstructuredSampling:
     def test_minimal_instance_structure(self, alldeg2_spc3):
         code = sample_any(alldeg2_spc3, 3, 7)
         assert len(code.cns) == 2
-        assert code.vn_degrees == (2, 2, 2)
+        assert vn_degrees(code) == (2, 2, 2)
 
     def test_realized_degree_fractions_exact(self, bound_mix_ensemble):
         plan = validate_finite_instance(bound_mix_ensemble, 147)
         code = sample_unstructured(plan, 99)
         hist = {}
-        for d in code.vn_degrees:
+        for d in vn_degrees(code):
             hist[d] = hist.get(d, 0) + 1
         assert hist == dict(plan.vn_degree_counts)
         for t, count in enumerate(plan.cn_counts):
@@ -175,6 +176,9 @@ class TestCodewordChecks:
             spec, n = random_small_ensemble(rng)
             code = sample_any(spec, n, rng.randrange(2 ** 32))
             rows = global_parity_rows(code)
+            # the columns are the same matrix, transposed
+            assert code.columns == tuple(
+                sum(((row >> v) & 1) << i for i, row in enumerate(rows)) for v in range(n))
             for _ in range(10):
                 v = rng.randrange(1 << n)
                 local = is_codeword(code, v)
@@ -240,7 +244,7 @@ class TestWeightOne:
     def test_vn_without_sockets(self, spc3):
         # VN 3 touches no CN, so the unit vector on it is a codeword
         code = make_code([spc3], [(0, (0, 1, 2))], 4)
-        assert code.vn_degrees == (1, 1, 1, 0)
+        assert vn_degrees(code) == (1, 1, 1, 0)
         assert is_codeword(code, [0, 0, 0, 1])
         assert min_distance(code) == 1
         assert has_weight_one_codeword(code)
@@ -252,10 +256,18 @@ class TestWeightOne:
 
     def test_equivalent_to_unit_distance(self):
         rng = random.Random(11)
+        multi_edges = 0
         for _ in range(80):
             spec, n = random_small_ensemble(rng)
             code = sample_any(spec, n, rng.randrange(2 ** 32))
-            assert has_weight_one_codeword(code) == (min_distance(code) == 1)
+            one, dmin = has_weight_one_codeword(code), min_distance(code)
+            assert one == (dmin == 1)
+            # thresholds <= 2 are read from the columns; dmin >= 1 makes le
+            # False below 1
+            for d in (-1, 0, 1, 2):
+                assert _run_trial(code, d) == (one, dmin <= d)
+            multi_edges += any(len(set(s)) < len(s) for _, s in code.cns)
+        assert multi_edges
 
 
 class TestStats:
@@ -301,6 +313,24 @@ class TestStats:
         # no weight-1 word and nothing over the limit: every trial reached min_distance
         assert stats.count_eq_one == 0 and stats.count_k_over_limit == 0
         assert len(built) == 6
+
+    def test_small_threshold_does_no_elimination(self, bound_mix_ensemble, monkeypatch):
+        import gldpc.sampler
+
+        def refuse(*args):
+            raise AssertionError("a threshold <= 2 built the rows or eliminated")
+
+        for owner, name in ((gldpc.sampler, "global_parity_rows"),
+                            (gldpc.sampler, "min_distance"), (gf2, "row_reduce")):
+            monkeypatch.setattr(owner, name, refuse)
+        stats = estimate_dmin_stats(bound_mix_ensemble, 147, 200, 0.02, 2024)
+        assert stats.threshold_d == 2 and stats.count_k_over_limit == 0
+
+    def test_small_threshold_never_undecided(self, gallager_3_6):
+        # k is about 60 > DEFAULT_K_LIMIT, but d = 2 is read from the columns
+        stats = estimate_dmin_stats(gallager_3_6, 120, 4, 0.02, 1)
+        assert stats.threshold_d == 2 and stats.count_k_over_limit == 0
+        assert stats.count_eq_one <= stats.count_le_threshold <= stats.trials
 
     def test_one_plan_per_call(self, ham7, monkeypatch):
         import gldpc.sampler
