@@ -62,8 +62,12 @@ def even_coef_limit(edges: int, density: float, j: int) -> float:
         raise ValueError("edge count must be positive")
     if density < 0:
         raise ValueError("weight-2 density cannot be negative")
-    half = edges * density / 2.0
+    if density == 0:  # the limit is 0 at any size, even past the float range
+        return 0.0
     try:
+        half = edges * (density / 2.0)  # float(edges) or this product may overflow
+        if half == math.inf:
+            raise OverflowError
         try:
             return half ** j / math.factorial(j)
         except OverflowError:  # half**j or j! left the float range; the limit may not

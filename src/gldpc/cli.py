@@ -175,6 +175,8 @@ def cmd_sample(args: argparse.Namespace) -> int:
     for flag, value, cap in (("--n", args.n, MAX_N), ("--trials", args.trials, MAX_TRIALS)):
         if value > cap:
             raise SpecFileError(f"{flag}: {value} is more than the cap of {cap}")
+    if args.seed < 0:
+        raise SpecFileError(f"--seed must be a non-negative integer, got {args.seed}")
     # the threshold floor(alpha * n) needs a finite product; max() keeps a huge
     # negative --n, which the plan refuses, from overflowing it here
     if not math.isfinite(args.alpha * max(args.n, 1)):

@@ -14,7 +14,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, Sequence, Tuple, Union
 
 from . import gf2, polywef
 from .polywef import Wef
@@ -121,6 +121,16 @@ class CheckNodeType:
         return cls(s=n_cols, parity=tuple(gf2.row_reduce(rows, n_cols)[1]))
 
 
+def _normalized(fracs: Sequence[Fraction], name: str) -> Tuple[Fraction, ...]:
+    """Positive fractions summing to 1 within SUM_TOL, divided by their exact sum."""
+    if any(f <= 0 for f in fracs):
+        raise ValueError(f"every {name} entry must be positive")
+    total = sum(fracs, Fraction(0))
+    if abs(float(total) - 1.0) > SUM_TOL:
+        raise ValueError(f"{name} must sum to 1 within {SUM_TOL}, got {float(total)}")
+    return tuple(f / total for f in fracs)
+
+
 @dataclass(frozen=True)
 class CnMixture:
     """CN types plus the fraction of edges attached to each type."""
@@ -133,15 +143,7 @@ class CnMixture:
             raise ValueError("rho length must match the number of CN types")
         if not self.types:
             raise ValueError("mixture needs at least one CN type")
-        if any(r <= 0 for r in self.rho):
-            raise ValueError("every rho entry must be positive")
-        total = sum(self.rho)
-        if abs(float(total) - 1.0) > SUM_TOL:
-            raise ValueError(f"rho must sum to 1 within {SUM_TOL}, got {float(total)}")
-        if total != 1:
-            object.__setattr__(
-                self, "rho", tuple(r / total for r in self.rho)
-            )
+        object.__setattr__(self, "rho", _normalized(self.rho, "rho"))
 
     @classmethod
     def of(cls, types: Sequence[CheckNodeType],
@@ -176,13 +178,8 @@ class UnstructuredEnsemble:
             raise ValueError("VN degrees below 2 are not supported")
         if len(set(degrees)) != len(degrees):
             raise ValueError("duplicate VN degree in lambda")
-        if any(f <= 0 for _, f in self.lam):
-            raise ValueError("every lambda entry must be positive")
-        total = sum(f for _, f in self.lam)
-        if abs(float(total) - 1.0) > SUM_TOL:
-            raise ValueError(f"lambda must sum to 1 within {SUM_TOL}, got {float(total)}")
-        norm = tuple(sorted(((d, f / total) for d, f in self.lam)))
-        object.__setattr__(self, "lam", norm)
+        fracs = _normalized([f for _, f in self.lam], "lambda")
+        object.__setattr__(self, "lam", tuple(sorted(zip(degrees, fracs))))
 
     @classmethod
     def of(cls, mixture: CnMixture,
@@ -264,60 +261,38 @@ class InstancePlan:
         return sum(self.cn_counts)
 
 
-def _feasible_n(constraints: List[Fraction]) -> int:
-    lcm = 1
-    for c in constraints:
-        lcm = math.lcm(lcm, c.denominator)
-    return lcm
-
-
 def validate_finite_instance(
     spec: Union[VnRegularEnsemble, UnstructuredEnsemble], n: int
 ) -> InstancePlan:
     """Exact integer counts for block length n, or DivisibilityError.
 
-    The error names the offending quantity and the smallest feasible
-    block length at or above n.
+    Each count is n * c for an exact fraction c, and n is feasible exactly when
+    every such product is an integer. The error names the first count that is
+    not, and the smallest feasible block length at or above n.
     """
     if n < 1:
         raise ValueError(f"block length must be positive, got {n}")
     m = spec.mixture
+    per_edge = [r / t.s for t, r in zip(m.types, m.rho)]
     if isinstance(spec, VnRegularEnsemble):
-        per_layer = [n * r / t.s for t, r in zip(m.types, m.rho)]
-        unit = _feasible_n([r / t.s for t, r in zip(m.types, m.rho)])
-        nearest = ((n + unit - 1) // unit) * unit
-        for idx, c in enumerate(per_layer):
-            if c.denominator != 1:
-                raise DivisibilityError(
-                    f"per-layer count of type-{idx} CNs (n*rho_t/s_t)", c, nearest
-                )
-        return InstancePlan(spec=spec, n=n,
-                            cn_counts=tuple(int(c) * spec.q for c in per_layer),
+        rules = [(f"per-layer count of type-{i} CNs (n*rho_t/s_t)", c)
+                 for i, c in enumerate(per_edge)]
+    else:  # counts scale with edges = n / int(lambda)
+        edges_per_vn = 1 / vns_per_edge_exact(spec)
+        rules = [("edge count (n / int lambda)", edges_per_vn)]
+        rules += [(f"count of degree-{d} VNs", f / d * edges_per_vn) for d, f in spec.lam]
+        rules += [(f"count of type-{i} CNs (E*rho_t/s_t)", c * edges_per_vn)
+                  for i, c in enumerate(per_edge)]
+    unit = math.lcm(*(c.denominator for _, c in rules))
+    counts = []
+    for quantity, c in rules:
+        count = n * c
+        if count.denominator != 1:
+            raise DivisibilityError(quantity, count, ((n + unit - 1) // unit) * unit)
+        counts.append(int(count))
+    if isinstance(spec, VnRegularEnsemble):
+        return InstancePlan(spec=spec, n=n, cn_counts=tuple(c * spec.q for c in counts),
                             vn_degree_counts=((spec.q, n),))
-
-    # unstructured: counts scale with edges = n / int(lambda)
-    vpe = vns_per_edge_exact(spec)
-    inv_vpe = 1 / vpe
-    node_frac = {d: f / (d * vpe) for d, f in spec.lam}
-    constraints = [inv_vpe]
-    constraints += list(node_frac.values())
-    constraints += [inv_vpe * r / t.s for t, r in zip(m.types, m.rho)]
-    unit = _feasible_n(constraints)
-    nearest = ((n + unit - 1) // unit) * unit
-    edges = n * inv_vpe
-    if edges.denominator != 1:
-        raise DivisibilityError("edge count (n / int lambda)", edges, nearest)
-    vn_counts = []
-    for d, f in node_frac.items():
-        c = n * f
-        if c.denominator != 1:
-            raise DivisibilityError(f"count of degree-{d} VNs", c, nearest)
-        vn_counts.append((d, int(c)))
-    cn_counts = []
-    for idx, (t, r) in enumerate(zip(m.types, m.rho)):
-        c = edges * r / t.s
-        if c.denominator != 1:
-            raise DivisibilityError(f"count of type-{idx} CNs (E*rho_t/s_t)", c, nearest)
-        cn_counts.append(int(c))
-    return InstancePlan(spec=spec, n=n, cn_counts=tuple(cn_counts),
-                        vn_degree_counts=tuple(vn_counts))
+    degrees = [d for d, _ in spec.lam]
+    return InstancePlan(spec=spec, n=n, cn_counts=tuple(counts[1 + len(degrees):]),
+                        vn_degree_counts=tuple(zip(degrees, counts[1:])))

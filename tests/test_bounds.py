@@ -90,10 +90,16 @@ class TestCoefLimit:
     def test_beyond_float_range(self):
         with pytest.raises(ValueError, match="j=100.* 60000 edges"):
             even_coef_limit(60000, 2.0, 100)
+        # the product edges * density leaves the float range; half of it does not
+        assert even_coef_limit(12 * 10**307, 2.0, 1) == float(12 * 10**307)
+        for edges in (12 * 10**307, 10**400):
+            with pytest.raises(ValueError, match="j=1.* edges exceeds the float range"):
+                even_coef_limit(edges, 4.0, 1)
 
     def test_zero_density(self):
         for j in (1, 2, 3):
             assert even_coef_limit(100, 0.0, j) == 0.0
+        assert even_coef_limit(10**400, 0.0, 2) == 0.0  # edges past the float range
 
     def test_pairs_with_exact(self):
         m = 1000

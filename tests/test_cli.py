@@ -253,6 +253,14 @@ class TestSample:
                         "--out", str(tmp_path / "x.json")], capsys)
         assert f"{flag}: {cap + 1} is more than the cap of {cap}" in err
 
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        # numpy's own refusal did not name the flag
+        err = run_fast(["sample", spec_path("bound_mix.json"), "--n", "147", "--trials", "2",
+                        "--alpha", "0.02", "--seed", "-1",
+                        "--out", str(tmp_path / "x.json")], capsys)
+        assert "--seed must be a non-negative integer, got -1" in err
+        assert not (tmp_path / "x.json").exists()
+
     def test_size_caps_are_inclusive(self, tmp_path, capsys):
         # both caps pass; the run stops at the plan, since 147 does not divide MAX_N
         err = run_fast(["sample", spec_path("bound_mix.json"), "--n", str(MAX_N),
@@ -407,6 +415,9 @@ class TestCoefConvergence:
         ("100", "30000", "j=100) at 60000 edges exceeds the float range"),
         ("200", "30", f"--j: 200 is more than the cap of {MAX_J}"),
         ("3000", "30000", f"--j: 3000 is more than the cap of {MAX_J}"),
+        # the edge count itself is past the float range, not only the limit
+        pytest.param("2", str(3 * 10**400), f"j=2) at {6 * 10**400} edges exceeds the "
+                     "float range", id="edges-beyond-float"),
     ])
     def test_large_j_exits_2(self, tmp_path, capsys, j, n_list, message):
         err = run_fast(["coef-convergence", spec_path("alldeg2_spc3.json"), "--j", j,

@@ -196,21 +196,32 @@ class TestInstancePlanning:
         assert plan.cn_counts == (2,)  # one CN per layer, two layers
         assert plan.vn_degree_counts == ((2, 3),)
 
-    def test_vn_regular_divisibility(self, spc3_mixture):
+    # one case per integrality rule; each ensemble is built from its fixtures
+    @pytest.mark.parametrize("make,n,quantity,value,nearest", [
+        pytest.param(lambda fx: VnRegularEnsemble(mixture=fx("spc3_mixture"), q=2), 4,
+                     "per-layer count of type-0 CNs (n*rho_t/s_t)", "4/3", 6,
+                     id="vn-regular-layer-cns"),
+        pytest.param(lambda fx: fx("bound_mix_ensemble"), 148,
+                     "edge count (n / int lambda)", "2960/7", 294, id="edges"),
+        pytest.param(lambda fx: UnstructuredEnsemble.of(fx("spc3_mixture"),
+                                                        {2: "1/3", 4: "2/3"}), 1,
+                     "count of degree-2 VNs", "1/2", 2, id="degree-vns"),
+        pytest.param(lambda fx: fx("alldeg2_spc3"), 4,
+                     "count of type-0 CNs (E*rho_t/s_t)", "8/3", 6, id="type-cns"),
+    ])
+    def test_divisibility(self, request, make, n, quantity, value, nearest):
         with pytest.raises(DivisibilityError) as err:
-            validate_finite_instance(VnRegularEnsemble(mixture=spc3_mixture, q=2), 4)
-        assert err.value.nearest_n == 6
+            validate_finite_instance(make(request.getfixturevalue), n)
+        assert str(err.value) == (f"divisibility violation: {quantity} = {value} is not "
+                                  f"an integer; nearest feasible block length is {nearest}")
+        assert (err.value.quantity, err.value.value, err.value.nearest_n) == (
+            quantity, Fraction(value), nearest)
+        validate_finite_instance(make(request.getfixturevalue), nearest)
 
     def test_unstructured_minimal(self, alldeg2_spc3):
         plan = validate_finite_instance(alldeg2_spc3, 3)
         assert (plan.edges, plan.cn_total) == (6, 2)
         assert plan.vn_degree_counts == ((2, 3),)
-
-    def test_unstructured_divisibility(self, bound_mix_ensemble):
-        with pytest.raises(DivisibilityError) as err:
-            validate_finite_instance(bound_mix_ensemble, 200)
-        assert err.value.nearest_n == 294
-        validate_finite_instance(bound_mix_ensemble, 147)
 
     @pytest.mark.parametrize("n", [147, 294, 441])
     def test_count_identities(self, bound_mix_ensemble, n):
