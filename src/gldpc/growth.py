@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,7 +42,9 @@ _TAIL = 1e-9
 _FLOOR_ULPS = 64
 # Safety cap; safeguarded Newton needs far fewer steps.
 _MAX_STEPS = 100
-# find_critical_ratio's scan size, and its root bracket width in relative weight.
+# Scan size per root (a shared scan is at least as fine across each root's
+# span), which also caps the points one buffer or one batch holds; and the
+# root bracket width in relative weight.
 _SCAN_POINTS = 2200
 _ROOT_TOL = 1e-10
 
@@ -59,7 +61,8 @@ class GrowthCurve:
     around a located root and residual the growth rate at the reported
     ratio (both None when no root was located); sign_changes counts the
     sign changes of the scanned curve, ignoring values within rounding
-    error of zero.
+    error of zero. A verdict decided analytically comes with no scan:
+    rel_weights and growth are empty and sign_changes is 0.
     """
 
     rel_weights: Tuple[float, ...]
@@ -73,16 +76,22 @@ class GrowthCurve:
 
 
 @lru_cache(maxsize=128)
-def _log_tables(m: CnMixture):
-    """Per-type arrays over the nonzero weights u >= 1: u, u^2, log A_u, and
-    the edge weight rho_t/s_t. A_0 = 1 is kept apart (see _tilt_curve)."""
-    tables = []
+def _log_table(cn: CheckNodeType):
+    """u, u^2 and log A_u over the nonzero weights u >= 1 of one CN type's WEF.
+
+    A_0 = 1 is kept apart (see _type_curve).
+    """
+    nonzero = [u for u, a in enumerate(cn.wef.coeffs) if a and u]
+    us = np.array(nonzero, dtype=float)
+    return us, us * us, np.array([math.log(cn.wef.coeffs[u]) for u in nonzero])
+
+
+def _weights(m: CnMixture) -> Dict[CheckNodeType, float]:
+    """The edge weight w_i = rho_i/s_i of each distinct CN type of m."""
+    weights: Dict[CheckNodeType, float] = {}
     for cn, r in zip(m.types, m.rho):
-        nonzero = [u for u, a in enumerate(cn.wef.coeffs) if a and u]
-        us = np.array(nonzero, dtype=float)
-        logs = np.array([math.log(cn.wef.coeffs[u]) for u in nonzero])
-        tables.append((us, us * us, logs, float(r) / cn.s))
-    return tables
+        weights[cn] = weights.get(cn, 0.0) + float(r) / cn.s
+    return weights
 
 
 def edge_weight_limit(m: CnMixture) -> float:
@@ -90,79 +99,105 @@ def edge_weight_limit(m: CnMixture) -> float:
     return float(sum(r * t.wef.degree / t.s for t, r in zip(m.types, m.rho)))
 
 
-def _tilt_curve(m: CnMixture, t: np.ndarray):
+def _type_curve(cn: CheckNodeType, t: np.ndarray) -> np.ndarray:
+    """log A(e^t), E[u] and Var(u) of one CN type at an array of log-tilts.
+
+    Rows 0, 1 and 2 of the result; the law is the tilted one, A_u e^(u t) /
+    A(e^t). Each t gets its own row e_u = exp(log A_u + u t - top) over the
+    weights u >= 1, summed along that row alone, so the values at one t are
+    the same bits whatever other points share the call (a matrix product
+    rounds by the shape of the whole array). Since A_0 = 1, A e^-top =
+    1 + rest with rest = sum e_u + expm1(-top), and log A = top +
+    log1p(rest) stays accurate where log A is tiny. At most _SCAN_POINTS
+    rows are built at a time.
+    """
+    us, us2, logs = _log_table(cn)
+    out = np.empty((3, t.size))
+    for k in range(0, t.size, _SCAN_POINTS):
+        part = slice(k, k + _SCAN_POINTS)
+        e = np.multiply.outer(t[part], us)
+        e += logs
+        top = np.maximum(e.max(axis=1), 0.0)
+        e -= top[:, None]
+        np.exp(e, out=e)
+        rest = e.sum(axis=1) + np.expm1(-top)
+        mean = np.vecdot(e, us) / (1.0 + rest)
+        out[0, part] = top + np.log1p(rest)
+        out[1, part] = mean
+        out[2, part] = np.vecdot(e, us2) / (1.0 + rest) - mean * mean
+    return out
+
+
+def _tilt_curve(weights: Dict[CheckNodeType, Any], t: np.ndarray) -> np.ndarray:
     """sum_i w_i log A_i(e^t), alpha(t) and alpha'(t) at an array of log-tilts.
 
-    Sums run over the CN types i, with w_i = rho_i/s_i: alpha =
-    sum_i w_i E_i[u] is the tilted mean weight per edge and alpha' =
-    sum_i w_i Var_i(u), under the tilted law A_u e^(u t) / A(e^t). Each
-    type uses one buffer e_u = exp(log A_u + u t - top) over its weights
-    u >= 1; since A_0 = 1, A e^-top = 1 + rest with rest = sum e_u +
-    expm1(-top), and log A = top + log1p(rest) stays accurate where log A
-    is tiny.
+    Sums run over the CN types i of weights, which maps each to w_i =
+    rho_i/s_i, a scalar or one value per t: alpha = sum_i w_i E_i[u] is the
+    tilted mean weight per edge and alpha' = sum_i w_i Var_i(u).
     """
-    log_a = np.zeros_like(t)
-    alpha = np.zeros_like(t)
-    slope = np.zeros_like(t)
-    for us, us2, logs, w in _log_tables(m):
-        e = np.multiply.outer(us, t)
-        e += logs[:, None]
-        top = np.maximum(e.max(axis=0), 0.0)
-        e -= top
-        np.exp(e, out=e)
-        rest = e.sum(axis=0) + np.expm1(-top)
-        mean = (us @ e) / (1.0 + rest)
-        log_a += w * (top + np.log1p(rest))
-        alpha += w * mean
-        slope += w * ((us2 @ e) / (1.0 + rest) - mean * mean)
-    return log_a, alpha, slope
+    return sum(w * _type_curve(cn, t) for cn, w in weights.items())
 
 
-def _growth_terms(q: int, alpha: np.ndarray, t: np.ndarray, log_a: np.ndarray):
-    """The terms of G = (1-q) h(alpha) - q alpha t + q sum_i w_i log A_i(e^t)."""
+def _growth_terms(q, alpha: np.ndarray, t: np.ndarray, log_a: np.ndarray):
+    """G = (1-q) h(alpha) - q alpha t + q sum_i w_i log A_i(e^t), and its
+    rounding-error floor: _FLOOR_ULPS rounding units of the terms it is
+    summed from."""
     ent = -alpha * np.log(alpha) - (1 - alpha) * np.log1p(-alpha)
-    return (1 - q) * ent, -q * alpha * t, q * log_a
+    terms = ((1 - q) * ent, -q * alpha * t, q * log_a)
+    return sum(terms), _FLOOR_ULPS * np.finfo(float).eps * sum(np.abs(x) for x in terms)
 
 
-def _growth_curve(spec: VnRegularEnsemble, t: np.ndarray):
+def _growth_curve(weights: Dict[CheckNodeType, Any], q, t: np.ndarray):
     """alpha(t), G(t), dG/dt and the rounding-error floor of G at log-tilts t.
 
-    dG/dt = [(1-q) log((1-alpha)/alpha) - q t] alpha'(t): the t-derivative
-    of the tilt terms cancels because d/dt sum_i w_i log A_i(e^t) = alpha.
+    weights is as for _tilt_curve, and the VN degree q a scalar or one value
+    per t. dG/dt = [(1-q) log((1-alpha)/alpha) - q t] alpha'(t): the
+    t-derivative of the tilt terms cancels because d/dt sum_i w_i
+    log A_i(e^t) = alpha.
     """
-    q = spec.q
-    log_a, alpha, slope = _tilt_curve(spec.mixture, t)
-    terms = _growth_terms(q, alpha, t, log_a)
-    floor = _FLOOR_ULPS * np.finfo(float).eps * sum(np.abs(x) for x in terms)
+    log_a, alpha, slope = _tilt_curve(weights, t)
+    g, floor = _growth_terms(q, alpha, t, log_a)
     dg = ((1 - q) * (np.log1p(-alpha) - np.log(alpha)) - q * t) * slope
-    return alpha, sum(terms), dg, floor
+    return alpha, g, dg, floor
 
 
-def _bracketed_newton(f, lo: np.ndarray, hi: np.ndarray, tol: float):
+def _bracketed_newton(f, lo: np.ndarray, hi: np.ndarray, tol):
     """Shrink brackets [lo, hi] around roots of f, elementwise.
 
-    f maps an array of points to (value, slope), with value < 0 at lo and
-    value >= 0 at hi. A Newton step that leaves its bracket, or is not
-    shorter than half the previous step, is replaced by bisection. A Newton
-    step shorter than tol/2 is lengthened to tol/2, so the next point lands
-    just past the root and the bracket closes from both sides. Returns the
-    brackets once each is at most tol wide or cannot be split further.
+    f maps (indices, points) to (value, slope) of the elements at those
+    indices, with value < 0 at lo and value >= 0 at hi. A Newton step that
+    leaves its bracket, or is not shorter than half the previous step, is
+    replaced by bisection. A Newton step shorter than tol/2 is lengthened to
+    tol/2, so the next point lands just past the root and the bracket closes
+    from both sides. tol is a scalar or one value per element. Each element
+    freezes at the step where it would stop alone, once its bracket is at
+    most tol wide or cannot be split further, and f is not evaluated for it
+    again; so when f's value at a point does not depend on the other points,
+    neither does an element's bracket. Returns the brackets.
     """
-    x = 0.5 * (lo + hi)
-    last = hi - lo
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    idx = np.arange(lo.size)
+    a, b, tol = lo, hi, np.broadcast_to(tol, lo.shape)
+    x = 0.5 * (a + b)
+    last = b - a
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(_MAX_STEPS):
-            value, slope = f(x)
+            value, slope = f(idx, x)
             below = value < 0
-            lo = np.where(below, x, lo)
-            hi = np.where(below, hi, x)
-            mid = 0.5 * (lo + hi)
-            if not np.any((hi - lo > tol) & (lo < mid) & (mid < hi)):
-                break
+            a = np.where(below, x, a)
+            b = np.where(below, b, x)
+            lo[idx], hi[idx] = a, b
+            mid = 0.5 * (a + b)
+            go = (b - a > tol) & (a < mid) & (mid < b)
+            if not go.all():
+                if not go.any():
+                    break
+                idx, a, b, tol, x, mid, last, value, slope = (
+                    v[go] for v in (idx, a, b, tol, x, mid, last, value, slope))
             step = value / slope
             short = np.abs(step) < 0.5 * tol
             nxt = x - np.where(short, np.copysign(0.5 * tol, step), step)
-            newton = (np.abs(step) < 0.5 * last) & (lo < nxt) & (nxt < hi)
+            newton = (np.abs(step) < 0.5 * last) & (a < nxt) & (nxt < b)
             # only a bisection may follow a lengthened step, so a flat
             # stretch is not crossed tol/2 at a time
             last = np.where(newton, np.where(short, 0.0, np.abs(step)), np.abs(mid - x))
@@ -177,15 +212,16 @@ def tilted_edge_weight(m: CnMixture, z: float) -> float:
     """
     if z <= 0:
         raise ValueError(f"tilt must be positive, got {z}")
-    return float(_tilt_curve(m, np.array([math.log(z)]))[1][0])
+    return float(_tilt_curve(_weights(m), np.array([math.log(z)]))[1][0])
 
 
 def _log_tilt_for(m: CnMixture, alpha: np.ndarray) -> np.ndarray:
     """Log-tilts t with alpha(t) = alpha, elementwise, by safeguarded Newton."""
+    weights = _weights(m)
 
-    def f(t):
-        _, a, slope = _tilt_curve(m, t)
-        return a - alpha, slope
+    def f(idx, t):
+        _, a, slope = _tilt_curve(weights, t)
+        return a - alpha[idx], slope
 
     lo, hi = _bracketed_newton(
         f, np.full(alpha.shape, _LOG_Z_LO), np.full(alpha.shape, _LOG_Z_HI), _TILT_TOL
@@ -214,7 +250,7 @@ def growth_rate_grid(spec: VnRegularEnsemble, alphas: Sequence[float]) -> np.nda
             f"[{a.min()}, {a.max()}]"
         )
     t = _log_tilt_for(m, a)
-    return sum(_growth_terms(q, a, t, _tilt_curve(m, t)[0]))
+    return _growth_terms(q, a, t, _tilt_curve(_weights(m), t)[0])[0]
 
 
 def growth_rate(spec: VnRegularEnsemble, alpha: float) -> float:
@@ -222,7 +258,7 @@ def growth_rate(spec: VnRegularEnsemble, alpha: float) -> float:
     return float(growth_rate_grid(spec, [alpha])[0])
 
 
-def _scan_ends(m: CnMixture) -> Tuple[float, float]:
+def _scan_ends(weights: Dict[CheckNodeType, float]) -> Tuple[float, float]:
     """Log-tilts where alpha is about _TAIL above 0 and _TAIL below its limit.
 
     In closed form from each type's lowest and highest nonzero WEF terms:
@@ -231,13 +267,116 @@ def _scan_ends(m: CnMixture) -> Tuple[float, float]:
     and g the gap below it (A_0 = 1 when D is the only nonzero weight).
     """
     lows, highs = [], []
-    for us, _, logs, w in _log_tables(m):
+    for cn, w in weights.items():
+        us, _, logs = _log_table(cn)
         d = us[0]
         lows.append((math.log(_TAIL / (w * d)) - logs[0]) / d)
         below_u, below_log = (us[-2], logs[-2]) if len(us) > 1 else (0.0, 0.0)
         gap = us[-1] - below_u
         highs.append((math.log(w * gap / _TAIL) + below_log - logs[-1]) / gap)
     return min(lows), max(highs)
+
+
+def _critical_ratios(specs: Sequence[VnRegularEnsemble],
+                     keep_scan: bool) -> List[GrowthCurve]:
+    """find_critical_ratio of each spec, from one scan and one refinement.
+
+    Each CN type's tilt curve is evaluated once, on one grid of evenly
+    spaced log-tilts. The grid spans every spec's _scan_ends and is at
+    least as fine as _SCAN_POINTS points across the narrowest span; each
+    spec reads the points within its own span, with its own weights,
+    rounding floor and VN degree. Then all brackets are refined in one
+    call, each to its own tolerance, so callers pass at most _SCAN_POINTS
+    specs to keep every buffer within a scan's size. Specs whose verdict is
+    decided analytically are not scanned. keep_scan: whether each curve
+    carries its scanned points.
+    """
+    curves: List[Optional[GrowthCurve]] = [None] * len(specs)
+    scanned = []
+    for p, spec in enumerate(specs):
+        if spec.q == 2 and weight_two_density_exact(spec.mixture) >= 1:
+            curves[p] = GrowthCurve(rel_weights=(), growth=(), critical_ratio=None,
+                                    verdict=VERDICT_NOT_EXISTS, root_located=False)
+        else:
+            scanned.append(p)
+    if not scanned:
+        return curves
+    # one row of CN-type weights per scanned spec, one column per CN type
+    types = list(dict.fromkeys(cn for p in scanned for cn in specs[p].mixture.types))
+    column = {cn: c for c, cn in enumerate(types)}
+    w = np.zeros((len(scanned), len(types)))
+    ends = np.empty((len(scanned), 2))
+    for n, p in enumerate(scanned):
+        weights = _weights(specs[p].mixture)
+        w[n, [column[cn] for cn in weights]] = list(weights.values())
+        ends[n] = _scan_ends(weights)
+    lo, hi = ends[:, 0].min(), ends[:, 1].max()
+    narrowest = (ends[:, 1] - ends[:, 0]).min()
+    t = np.linspace(lo, hi, math.ceil((_SCAN_POINTS - 1) * (hi - lo) / narrowest) + 1)
+    tables = [_type_curve(cn, t) for cn in types]
+
+    rows, brackets, scans = [], [], []
+    for n, p in enumerate(scanned):
+        spec = specs[p]
+        span = slice(np.searchsorted(t, ends[n, 0]), np.searchsorted(t, ends[n, 1], "right"))
+        ts = t[span]
+        log_a, alpha = (sum(x * table[row, span] for x, table in zip(w[n], tables))
+                        for row in (0, 1))
+        g, floor = _growth_terms(spec.q, alpha, ts, log_a)
+        sign = np.where(g > floor, 1, np.where(g < -floor, -1, 0))
+        signed = sign[sign != 0]
+        scan = dict(
+            rel_weights=tuple(alpha.tolist()) if keep_scan else (),
+            growth=tuple(g.tolist()) if keep_scan else (),
+            sign_changes=int(np.count_nonzero(signed[1:] != signed[:-1])),
+        )
+        if (sign < 0).all():
+            curves[p] = GrowthCurve(
+                **scan,
+                critical_ratio=edge_weight_limit(spec.mixture),
+                verdict=VERDICT_EXISTS,
+                root_located=False,
+            )
+            continue
+        positive = np.flatnonzero(sign > 0)
+        before = np.flatnonzero(sign[:positive[0]]) if positive.size else positive
+        if not before.size:
+            # G is within rounding error of 0 wherever it could change sign,
+            # so neither a root nor decay can be certified; report that, not
+            # a guess
+            curves[p] = GrowthCurve(**scan, critical_ratio=None,
+                                    verdict=VERDICT_NO_SIGN_CHANGE, root_located=False)
+            continue
+        i, j = int(before[-1]), int(positive[0])
+        # tolerance in t that makes the final bracket about _ROOT_TOL wide in alpha
+        tol = _ROOT_TOL * (ts[j] - ts[i]) / (alpha[j] - alpha[i])
+        rows.append(n)
+        brackets.append((ts[i], ts[j], tol))
+        scans.append(scan)
+    if not rows:
+        return curves
+
+    wr = w[rows]
+    q = np.array([specs[scanned[n]].q for n in rows])
+
+    def at(x, idx=slice(None)):
+        return _growth_curve({cn: wr[idx, c] for c, cn in enumerate(types)}, q[idx], x)
+
+    lo, hi = _bracketed_newton(lambda idx, x: at(x, idx)[1:3], *np.array(brackets).T)
+    # at's values do not depend on the batch: these are the ones the solver saw
+    (a_lo, g_lo), (a_hi, g_hi) = (at(x)[:2] for x in (lo, hi))
+    root = lo - g_lo * (hi - lo) / (g_hi - g_lo)
+    a_root, g_root = at(root)[:2]
+    for m, (n, scan) in enumerate(zip(rows, scans)):
+        curves[scanned[n]] = GrowthCurve(
+            **scan,
+            critical_ratio=float(a_root[m]),
+            verdict=VERDICT_EXISTS,
+            root_located=True,
+            bracket=(float(a_lo[m]), float(a_hi[m])),
+            residual=float(g_root[m]),
+        )
+    return curves
 
 
 def find_critical_ratio(spec: VnRegularEnsemble) -> GrowthCurve:
@@ -254,63 +393,14 @@ def find_critical_ratio(spec: VnRegularEnsemble) -> GrowthCurve:
 
     Existence is decided analytically: for VN degree q > 2 a positive
     critical ratio always exists; for q = 2 it exists exactly when the
-    weight-2 density is below 1. When the growth rate is certified negative
-    at every scanned point the ratio is reported as the domain limit with
-    root_located False (the expected codeword count decays at every
-    scanned relative weight). When no negative-to-positive change clears
-    the floor otherwise, the verdict is no_sign_change_found and the ratio
-    None.
+    weight-2 density is below 1, and when it does not nothing is scanned.
+    When the growth rate is certified negative at every scanned point the
+    ratio is reported as the domain limit with root_located False (the
+    expected codeword count decays at every scanned relative weight). When
+    no negative-to-positive change clears the floor otherwise, the verdict
+    is no_sign_change_found and the ratio None.
     """
-    m, q = spec.mixture, spec.q
-    t = np.linspace(*_scan_ends(m), _SCAN_POINTS)
-    alpha, g, _, floor = _growth_curve(spec, t)
-    sign = np.where(g > floor, 1, np.where(g < -floor, -1, 0))
-    signed = sign[sign != 0]
-    scan = dict(
-        rel_weights=tuple(alpha.tolist()),
-        growth=tuple(g.tolist()),
-        sign_changes=int(np.count_nonzero(signed[1:] != signed[:-1])),
-    )
-
-    if q == 2 and weight_two_density_exact(m) >= 1:
-        return GrowthCurve(
-            **scan, critical_ratio=None, verdict=VERDICT_NOT_EXISTS, root_located=False
-        )
-
-    if (sign < 0).all():
-        return GrowthCurve(
-            **scan,
-            critical_ratio=edge_weight_limit(m),
-            verdict=VERDICT_EXISTS,
-            root_located=False,
-        )
-    positive = np.flatnonzero(sign > 0)
-    before = np.flatnonzero(sign[:positive[0]]) if positive.size else positive
-    if not before.size:
-        # G is within rounding error of 0 wherever it could change sign, so
-        # neither a root nor decay can be certified; report that, not a guess
-        return GrowthCurve(
-            **scan, critical_ratio=None, verdict=VERDICT_NO_SIGN_CHANGE, root_located=False
-        )
-    i, j = int(before[-1]), int(positive[0])
-
-    # tolerance in t that makes the final bracket about _ROOT_TOL wide in alpha
-    tol = _ROOT_TOL * (t[j] - t[i]) / (alpha[j] - alpha[i])
-    lo, hi = _bracketed_newton(
-        lambda x: _growth_curve(spec, x)[1:3], t[i:i + 1], t[j:j + 1], tol
-    )
-    # one point per call, as in the solver, so the end signs are the ones it saw
-    (a_lo, g_lo), (a_hi, g_hi) = (_growth_curve(spec, x)[:2] for x in (lo, hi))
-    root = lo - g_lo * (hi - lo) / (g_hi - g_lo)
-    a_root, g_root = _growth_curve(spec, root)[:2]
-    return GrowthCurve(
-        **scan,
-        critical_ratio=float(a_root[0]),
-        verdict=VERDICT_EXISTS,
-        root_located=True,
-        bracket=(float(a_lo[0]), float(a_hi[0])),
-        residual=float(g_root[0]),
-    )
+    return _critical_ratios([spec], keep_scan=True)[0]
 
 
 @dataclass(frozen=True)
@@ -323,36 +413,6 @@ class SweepPoint:
     delta_gv: Optional[float]
 
 
-def _sweep_point(type_a: CheckNodeType, type_b: CheckNodeType, q: int,
-                 gamma1: Fraction) -> SweepPoint:
-    # node-perspective pair (gamma1, 1-gamma1) -> edge-perspective rho
-    if gamma1 == 0:
-        mixture = CnMixture(types=(type_b,), rho=(Fraction(1),))
-        rho1 = Fraction(0)
-    elif gamma1 == 1:
-        mixture = CnMixture(types=(type_a,), rho=(Fraction(1),))
-        rho1 = Fraction(1)
-    else:
-        weights = [gamma1 * type_a.s, (1 - gamma1) * type_b.s]
-        total = weights[0] + weights[1]
-        mixture = CnMixture(
-            types=(type_a, type_b), rho=tuple(w / total for w in weights)
-        )
-        rho1 = weights[0] / total
-    spec = VnRegularEnsemble(mixture=mixture, q=q)
-    rate = design_rate(spec)
-    curve = find_critical_ratio(spec)
-    delta = gv_relative_distance(rate) if 0 < rate < 1 else None
-    return SweepPoint(
-        gamma1=float(gamma1),
-        rho1=float(rho1),
-        rate=rate,
-        critical_ratio=curve.critical_ratio,
-        verdict=curve.verdict,
-        delta_gv=delta,
-    )
-
-
 def two_type_sweep(
     type_a: CheckNodeType,
     type_b: CheckNodeType,
@@ -361,12 +421,35 @@ def two_type_sweep(
 ) -> List[SweepPoint]:
     """Rate / critical-ratio curve as the node fraction of type_a sweeps [0, 1].
 
-    One point per grid value, in grid order.
+    One point per grid value, in grid order. The critical ratios are found
+    _SCAN_POINTS points at a time, each batch from one shared scan and one
+    refinement (see _critical_ratios).
     """
     grid = [to_fraction(g) for g in gamma_grid]
     if any(g < 0 or g > 1 for g in grid):
         raise ValueError("node-fraction grid values must lie in [0, 1]")
-    return [_sweep_point(type_a, type_b, q, g) for g in grid]
+    points = []
+    for k in range(0, len(grid), _SCAN_POINTS):
+        part = grid[k:k + _SCAN_POINTS]
+        # node-perspective pair (gamma1, 1-gamma1) -> edge-perspective rho
+        rho1s = [g * type_a.s / (g * type_a.s + (1 - g) * type_b.s) for g in part]
+        specs = []
+        for rho1 in rho1s:
+            types, rho = zip(*((cn, r) for cn, r in ((type_a, rho1), (type_b, 1 - rho1))
+                               if r))
+            specs.append(VnRegularEnsemble(mixture=CnMixture(types=types, rho=rho), q=q))
+        for g, rho1, spec, curve in zip(part, rho1s, specs,
+                                        _critical_ratios(specs, keep_scan=False)):
+            rate = design_rate(spec)
+            points.append(SweepPoint(
+                gamma1=float(g),
+                rho1=float(rho1),
+                rate=rate,
+                critical_ratio=curve.critical_ratio,
+                verdict=curve.verdict,
+                delta_gv=gv_relative_distance(rate) if 0 < rate < 1 else None,
+            ))
+    return points
 
 
 def gv_relative_distance(rate: float) -> float:

@@ -7,11 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gldpc import growth
 from gldpc.ensemble import CheckNodeType, CnMixture, VnRegularEnsemble
 from gldpc.growth import (
+    _ROOT_TOL,
     VERDICT_EXISTS,
     VERDICT_NOT_EXISTS,
+    _bracketed_newton,
     _growth_curve,
+    _weights,
     edge_weight_limit,
     find_critical_ratio,
     growth_rate,
@@ -34,6 +38,12 @@ ORACLE_ROOTS = {
 def mixture_of(*pairs):
     types, rho = zip(*pairs)
     return CnMixture.of(list(types), list(rho))
+
+
+def node_mixture(type_a, type_b, gamma1):
+    """The mixture with node fractions (gamma1, 1 - gamma1) of the two types."""
+    rho1 = Fraction(gamma1) * type_a.s / (gamma1 * type_a.s + (1 - gamma1) * type_b.s)
+    return mixture_of(*((t, r) for t, r in ((type_a, rho1), (type_b, 1 - rho1)) if r))
 
 
 class TestTiltedWeight:
@@ -216,21 +226,43 @@ class TestCriticalRatio:
 
 
 class TestSweep:
-    def test_endpoints_match_single_type(self, ham15, ham7):
-        points = two_type_sweep(ham7, ham15, 2, [0, 1])
-        single_b = find_critical_ratio(
-            VnRegularEnsemble(mixture=CnMixture.of([ham15], [1]), q=2)
-        )
-        single_a = find_critical_ratio(
-            VnRegularEnsemble(mixture=CnMixture.of([ham7], [1]), q=2)
-        )
-        assert points[0].rate == pytest.approx(7 / 15, abs=1e-15)
-        assert points[0].critical_ratio == pytest.approx(
-            single_b.critical_ratio, rel=1e-12
-        )
-        assert points[1].critical_ratio == pytest.approx(
-            single_a.critical_ratio, rel=1e-12
-        )
+    def test_every_point_matches_single_solve(self, spc3, ham7, ham15):
+        # A4's Hamming 31/15 grid, and the SPC-3/Hamming-7 grid, whose
+        # weight-2 density reaches 1 at gamma1 = 0.7 (not_exists beyond)
+        ham31 = CheckNodeType.hamming(31)
+        twentieths = [Fraction(i, 20) for i in range(21)]
+        cases = [(ham7, ham15, [0, 1]), (ham31, ham15, twentieths),
+                 (spc3, ham7, twentieths)]
+        verdicts = set()
+        for type_a, type_b, grid in cases:
+            points = two_type_sweep(type_a, type_b, 2, grid)
+            for g, point in zip(grid, points):
+                alone = find_critical_ratio(
+                    VnRegularEnsemble(mixture=node_mixture(type_a, type_b, g), q=2))
+                assert point.verdict == alone.verdict
+                verdicts.add(point.verdict)
+                if alone.critical_ratio is None:
+                    assert point.critical_ratio is None
+                else:
+                    assert point.critical_ratio == pytest.approx(
+                        alone.critical_ratio, rel=1e-12)
+        assert verdicts == {VERDICT_EXISTS, VERDICT_NOT_EXISTS}
+        assert two_type_sweep(ham7, ham15, 2, [0])[0].rate == pytest.approx(
+            7 / 15, abs=1e-15)
+
+    def test_ill_conditioned_point_matches_mpmath(self, spc3, ham7):
+        # at gamma1 = 0.699 the weight-2 density is 0.9976, and the root
+        # (about 5.6e-6) is where the scan of the whole sweep and a scan of
+        # the point alone give different last digits
+        m = node_mixture(spc3, ham7, Fraction(699, 1000))
+        root = mp_first_root(m, 2, t_lo=-12)
+        (point,) = [p for p in two_type_sweep(spc3, ham7, 2,
+                                              [Fraction(i, 1000) for i in range(1001)])
+                    if p.gamma1 == 0.699]
+        alone = find_critical_ratio(VnRegularEnsemble(mixture=m, q=2))
+        assert 5e-6 < root < 6e-6
+        assert abs(point.critical_ratio - root) <= _ROOT_TOL
+        assert abs(alone.critical_ratio - root) <= _ROOT_TOL
 
     def test_rho_conversion(self, spc3, ham7):
         (point,) = two_type_sweep(spc3, ham7, 2, [Fraction(1, 2)])
@@ -356,7 +388,7 @@ class TestTiltParametrization:
     def test_alpha_and_growth_match_mpmath(self, request, names, tenths, q, t):
         types = [request.getfixturevalue(n) for n in names]
         m = mixture_of((types[0], Fraction(tenths, 10)), (types[1], Fraction(10 - tenths, 10)))
-        alpha, g, dg, _ = _growth_curve(VnRegularEnsemble(mixture=m, q=q), np.array([t]))
+        alpha, g, dg, _ = _growth_curve(_weights(m), q, np.array([t]))
         with mp.workdps(40):
             at = mp_growth_curve(mp_weights(m), q)
             ref_alpha, ref_g = at(mp.mpf(t))
@@ -413,3 +445,27 @@ class TestRootCertification:
         assert saturated.sign_changes == 0
         dense = find_critical_ratio(VnRegularEnsemble(mixture=spc3_mixture, q=2))
         assert dense.bracket is None and dense.residual is None
+
+
+class TestBatchedRefinement:
+    def test_each_element_freezes_where_it_would_stop_alone(self, monkeypatch, ham15):
+        # the brackets and tolerances of A4's sweeps, refined in one call and
+        # then one element at a time with the same f
+        calls = []
+
+        def recording(f, lo, hi, tol):
+            brackets = _bracketed_newton(f, lo, hi, tol)
+            calls.append((f, lo, hi, tol, brackets))
+            return brackets
+
+        monkeypatch.setattr(growth, "_bracketed_newton", recording)
+        ham31, ham63 = CheckNodeType.hamming(31), CheckNodeType.hamming(63)
+        for type_a, type_b in ((ham63, ham31), (ham31, ham15)):
+            two_type_sweep(type_a, type_b, 2, [Fraction(i, 20) for i in range(21)])
+        assert len(calls) == 2
+        for f, lo, hi, tol, (batch_lo, batch_hi) in calls:
+            assert len(set(tol.tolist())) == len(tol) == 21
+            for k in range(len(tol)):
+                alone = _bracketed_newton(lambda idx, x: f(idx + k, x),
+                                          lo[k:k + 1], hi[k:k + 1], tol[k:k + 1])
+                assert (alone[0][0], alone[1][0]) == (batch_lo[k], batch_hi[k])
