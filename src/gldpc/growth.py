@@ -455,8 +455,9 @@ def two_type_sweep(
 def gv_relative_distance(rate: float) -> float:
     """Gilbert-Varshamov relative distance: solve rate = 1 - h2(delta).
 
-    Uses base-2 entropy as is conventional for the GV curve; bisection
-    stops at a bracket 1e-10 wide.
+    Uses base-2 entropy as is conventional for the GV curve. Bisection
+    runs until the midpoint stops moving, that is until the bracket is two
+    adjacent floats, since the value is printed to 12 significant digits.
     """
     if not 0 < rate < 1:
         raise ValueError(f"rate must lie in (0, 1), got {rate}")
@@ -465,10 +466,11 @@ def gv_relative_distance(rate: float) -> float:
         return -x * math.log2(x) - (1 - x) * math.log2(1 - x)
 
     lo, hi = 0.0, 0.5
-    while hi - lo > 1e-10:
-        mid = 0.5 * (lo + hi)
+    mid = 0.25
+    while lo < mid < hi:
         if 1 - h2(mid) > rate:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+        mid = 0.5 * (lo + hi)
+    return mid

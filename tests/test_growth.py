@@ -289,6 +289,20 @@ class TestGilbertVarshamov:
         with pytest.raises(ValueError):
             gv_relative_distance(rate)
 
+    @pytest.mark.parametrize("rate", [Fraction(21, 31), Fraction(1, 2), Fraction(7, 15),
+                                      Fraction(1, 10 ** 4), Fraction(9999, 10 ** 4)])
+    def test_matches_mpmath(self, rate):
+        with mp.workdps(40):
+            lo, hi = mp.mpf(0), mp.mpf(1) / 2
+            target = mp.mpf(rate.numerator) / rate.denominator
+            for _ in range(140):
+                mid = (lo + hi) / 2
+                if 1 + mid * mp.log(mid, 2) + (1 - mid) * mp.log(1 - mid, 2) > target:
+                    lo = mid
+                else:
+                    hi = mid
+        assert gv_relative_distance(float(rate)) == pytest.approx(float(lo), rel=1e-13)
+
     @given(st.floats(0.01, 0.99))
     @settings(max_examples=40, deadline=None)
     def test_solves_entropy_equation(self, rate):
