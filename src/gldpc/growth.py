@@ -310,9 +310,10 @@ def _critical_ratios(specs: Sequence[VnRegularEnsemble],
         weights = _weights(specs[p].mixture)
         w[n, [column[cn] for cn in weights]] = list(weights.values())
         ends[n] = _scan_ends(weights)
-    lo, hi = ends[:, 0].min(), ends[:, 1].max()
-    narrowest = (ends[:, 1] - ends[:, 0]).min()
-    t = np.linspace(lo, hi, math.ceil((_SCAN_POINTS - 1) * (hi - lo) / narrowest) + 1)
+    first, last = ends[:, 0].min(), ends[:, 1].max()
+    # the ratio first, so that a batch of one gets exactly _SCAN_POINTS points
+    widths = (last - first) / (ends[:, 1] - ends[:, 0]).min()
+    t = np.linspace(first, last, math.ceil((_SCAN_POINTS - 1) * widths) + 1)
     tables = [_type_curve(cn, t) for cn in types]
 
     rows, brackets, scans = [], [], []
@@ -435,6 +436,7 @@ def two_type_sweep(
         rho1s = [g * type_a.s / (g * type_a.s + (1 - g) * type_b.s) for g in part]
         specs = []
         for rho1 in rho1s:
+            # a type with no edges is left out of the mixture
             types, rho = zip(*((cn, r) for cn, r in ((type_a, rho1), (type_b, 1 - rho1))
                                if r))
             specs.append(VnRegularEnsemble(mixture=CnMixture(types=types, rho=rho), q=q))

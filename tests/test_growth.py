@@ -11,6 +11,7 @@ from gldpc import growth
 from gldpc.ensemble import CheckNodeType, CnMixture, VnRegularEnsemble
 from gldpc.growth import (
     _ROOT_TOL,
+    _SCAN_POINTS,
     VERDICT_EXISTS,
     VERDICT_NOT_EXISTS,
     _bracketed_newton,
@@ -163,6 +164,7 @@ class TestCriticalRatio:
         curve = find_critical_ratio(gallager_3_6)
         limit = edge_weight_limit(gallager_3_6.mixture)
         ws = curve.rel_weights
+        assert len(ws) == _SCAN_POINTS
         assert all(0 < w < limit for w in ws)
         assert all(a < b for a, b in zip(ws, ws[1:]))
 
