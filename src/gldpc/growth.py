@@ -311,9 +311,10 @@ def _critical_ratios(specs: Sequence[VnRegularEnsemble],
         w[n, [column[cn] for cn in weights]] = list(weights.values())
         ends[n] = _scan_ends(weights)
     first, last = ends[:, 0].min(), ends[:, 1].max()
-    # the ratio first, so that a batch of one gets exactly _SCAN_POINTS points
-    widths = (last - first) / (ends[:, 1] - ends[:, 0]).min()
-    t = np.linspace(first, last, math.ceil((_SCAN_POINTS - 1) * widths) + 1)
+    # the grid's span in narrowest spans, first, so a batch of one gets
+    # exactly _SCAN_POINTS points
+    spans = (last - first) / (ends[:, 1] - ends[:, 0]).min()
+    t = np.linspace(first, last, math.ceil((_SCAN_POINTS - 1) * spans) + 1)
     tables = [_type_curve(cn, t) for cn in types]
 
     rows, brackets, scans = [], [], []
