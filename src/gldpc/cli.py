@@ -26,9 +26,9 @@ MAX_J = 100
 #: Largest sample --n; one (3,6) trial's elimination grows about as n^2.3 (2-vCPU VM:
 #: 0.07 s at n = 6000, 1.8 s and 102 MB peak at n = 30 000, 16 s at n = 60 000).
 MAX_N = 30_000
-#: Most sample --trials; the cheapest trial costs about 60 us and an A7-sized
-#: one (n = 147, read from the columns) about 0.3 ms (2-vCPU VM), so the cap is
-#: 6 s to 30 s of trials.
+#: Most sample --trials; the cheapest trial costs about 55 us and an A7-sized
+#: one (n = 147, read from the columns) about 0.07 ms (2-vCPU VM), so the cap is
+#: 6 s to 7 s of such trials.
 MAX_TRIALS = 100_000
 
 

@@ -87,10 +87,16 @@ def _log_table(cn: CheckNodeType):
 
 
 def _weights(m: CnMixture) -> Dict[CheckNodeType, float]:
-    """The edge weight w_i = rho_i/s_i of each distinct CN type of m."""
+    """The edge weight w_i = rho_i/s_i of each distinct CN type of m.
+
+    A type whose weight underflows to 0.0 is left out: it would add exactly
+    0 to every tilt sum, and its scan ends would need log(0).
+    """
     weights: Dict[CheckNodeType, float] = {}
     for cn, r in zip(m.types, m.rho):
-        weights[cn] = weights.get(cn, 0.0) + float(r) / cn.s
+        w = float(r) / cn.s
+        if w:
+            weights[cn] = weights.get(cn, 0.0) + w
     return weights
 
 
@@ -302,14 +308,14 @@ def _critical_ratios(specs: Sequence[VnRegularEnsemble],
     if not scanned:
         return curves
     # one row of CN-type weights per scanned spec, one column per CN type
-    types = list(dict.fromkeys(cn for p in scanned for cn in specs[p].mixture.types))
+    weights = [_weights(specs[p].mixture) for p in scanned]
+    types = list(dict.fromkeys(cn for row in weights for cn in row))
     column = {cn: c for c, cn in enumerate(types)}
     w = np.zeros((len(scanned), len(types)))
     ends = np.empty((len(scanned), 2))
-    for n, p in enumerate(scanned):
-        weights = _weights(specs[p].mixture)
-        w[n, [column[cn] for cn in weights]] = list(weights.values())
-        ends[n] = _scan_ends(weights)
+    for n, row in enumerate(weights):
+        w[n, [column[cn] for cn in row]] = list(row.values())
+        ends[n] = _scan_ends(row)
     first, last = ends[:, 0].min(), ends[:, 1].max()
     # the grid's span in narrowest spans, first, so a batch of one gets
     # exactly _SCAN_POINTS points

@@ -10,12 +10,13 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from . import gf2
 from .ensemble import (
+    CnLayout,
     InstancePlan,
     UnstructuredEnsemble,
     VnRegularEnsemble,
@@ -29,35 +30,79 @@ UNSTRUCTURED = "unstructured"
 #: Largest code dimension min_distance will enumerate exhaustively.
 DEFAULT_K_LIMIT = 28
 #: Most edges a sampled code may have, refused before any draw: a large q or lambda
-#: degree at small n is otherwise unbounded. A trial's draw costs about linear in the
-#: edges (2-vCPU VM, SPC-3 at n = 3: 0.13 s and 40 MB at 90 000 edges, 2.1 s and 91 MB
-#: at 10^6); 90 000 is (3,6) at the largest --n, 30 000.
+#: degree at small n is otherwise unbounded. A trial's draw and column test cost about
+#: linear in the edges (2-vCPU VM, SPC-3 at n = 3, d <= 1: 0.02 s and 40 MB at 90 000
+#: edges, 0.12 s and 87 MB at 10^6); 90 000 is (3,6) at the largest --n, 30 000.
 MAX_EDGES = 90_000
 
 
-@dataclass(frozen=True)
-class SampledCode:
-    """One Tanner-graph instance: per-CN ordered socket lists over VN indices.
+class SparseColumns(NamedTuple):
+    """The nonzero entries of the stacked parity-check matrix, column by column.
 
-    Socket lists may repeat a VN (multi-edges are legal in both ensembles,
-    and weight-1 codewords exist precisely because of them).
+    Entry e says that the column of VN vn[e] reads bits[e] on the rows of
+    check check[e] (see CnLayout): the XOR of that VN's local columns in the
+    check, never zero. Entries are sorted by VN, then check. A VN with no
+    entries has a zero column.
+    """
+
+    vn: np.ndarray
+    check: np.ndarray
+    bits: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class SampledCode:
+    """One Tanner-graph instance: the VN on each edge socket, in CN order.
+
+    layout says which CN owns which sockets. A CN may see one VN on several
+    sockets (multi-edges are legal in both ensembles, and weight-1 codewords
+    exist precisely because of them).
     """
 
     n: int
-    types: Tuple  # CheckNodeType per type index
-    cns: Tuple[Tuple[int, Tuple[int, ...]], ...]
+    layout: CnLayout
+    sockets: np.ndarray
 
     def __post_init__(self):
-        sizes = [t.s for t in self.types]
-        for i, (t, sockets) in enumerate(self.cns):
-            if len(sockets) != sizes[t]:
+        starts = self.layout.starts
+        if self.sockets.shape != (starts[-1],):
+            raise ValueError(f"{self.sockets.size} sockets, but the CNs have {starts[-1]}")
+        if self.sockets.size and (self.sockets.min() < 0 or self.sockets.max() >= self.n):
+            bad = np.flatnonzero((self.sockets < 0) | (self.sockets >= self.n))[0]
+            i = int(np.searchsorted(starts, bad, "right")) - 1
+            cn = self.sockets[starts[i]:starts[i + 1]]
+            lo, hi = int(cn.min()), int(cn.max())
+            raise ValueError(f"CN {i} has socket {lo if lo < 0 else hi}, outside "
+                             f"the VN range 0..{self.n - 1}")
+        self.sockets.flags.writeable = False
+
+    @classmethod
+    def from_cns(cls, n: int, types: Sequence,
+                 cns: Sequence[Tuple[int, Sequence[int]]]) -> "SampledCode":
+        """The code whose CNs, in order, are (type index, socket VNs) pairs."""
+        types = tuple(types)
+        for t, sockets in cns:
+            if len(sockets) != types[t].s:
                 raise ValueError(
-                    f"type-{t} CN has {len(sockets)} sockets, expected {sizes[t]}"
-                )
-            lo, hi = min(sockets), max(sockets)
-            if lo < 0 or hi >= self.n:
-                raise ValueError(f"CN {i} has socket {lo if lo < 0 else hi}, outside "
-                                 f"the VN range 0..{self.n - 1}")
+                    f"type-{t} CN has {len(sockets)} sockets, expected {types[t].s}")
+        layout = CnLayout(types, np.array([t for t, _ in cns], dtype=np.int64))
+        return cls(n, layout, np.array([v for _, s in cns for v in s], dtype=np.int64))
+
+    @property
+    def types(self) -> Tuple:
+        return self.layout.types
+
+    @property
+    def cns(self) -> Tuple[Tuple[int, Tuple[int, ...]], ...]:
+        """(type index, socket VNs) of each CN, in order; see from_cns."""
+        vns, starts = self.sockets.tolist(), self.layout.starts.tolist()
+        return tuple((t, tuple(vns[a:b]))
+                     for t, a, b in zip(self.layout.cn_type.tolist(), starts, starts[1:]))
+
+    def __eq__(self, other):
+        if not isinstance(other, SampledCode):
+            return NotImplemented
+        return (self.n, self.types, self.cns) == (other.n, other.types, other.cns)
 
     @functools.cached_property
     def parity_rows(self) -> Tuple[int, ...]:
@@ -65,19 +110,32 @@ class SampledCode:
         return tuple(global_parity_rows(self))
 
     @functools.cached_property
-    def columns(self) -> Tuple[int, ...]:
-        """The stacked parity-check matrix's columns, one bitmask per VN over the
-        rows of `parity_rows`, built from the socket lists with one XOR per socket.
+    def columns(self) -> SparseColumns:
+        """The stacked parity-check matrix's columns in sparse form.
+
+        One stable sort of the check entries by VN keeps each VN's checks in
+        order, and one XOR reduction over each run of equal (VN, check) merges
+        a VN seen on several sockets of a check, cancelling as over GF(2).
         """
-        layout = [(ctype.columns, len(ctype.parity)) for ctype in self.types]
-        cols = [0] * self.n
-        offset = 0
-        for t, sockets in self.cns:
-            patterns, n_rows = layout[t]
-            for v, pattern in zip(sockets, patterns):
-                cols[v] ^= pattern << offset
-            offset += n_rows
-        return tuple(cols)
+        entry_socket, entry_check, entry_bits = self.layout.check_entries
+        vns = self.sockets[entry_socket]
+        order = np.argsort(vns, kind="stable")
+        vn, check = vns[order], entry_check[order]
+        run = np.empty(vn.size, bool)
+        run[:1] = True
+        run[1:] = (vn[1:] != vn[:-1]) | (check[1:] != check[:-1])
+        first = np.flatnonzero(run)
+        bits = np.bitwise_xor.reduceat(entry_bits[order], first)
+        nonzero = bits != 0
+        kept = first[nonzero]
+        return SparseColumns(vn[kept], check[kept], bits[nonzero])
+
+    @functools.cached_property
+    def sketch(self) -> np.ndarray:
+        """Each VN's column image (see CnLayout.sketch): the XOR of its sockets'."""
+        image = np.zeros(self.n, np.int64)
+        np.bitwise_xor.at(image, self.sockets, self.layout.sketch)
+        return image
 
 
 def _rng_for(seed: int) -> np.random.Generator:
@@ -87,19 +145,6 @@ def _rng_for(seed: int) -> np.random.Generator:
 def _trial_seed(base_seed: int, trial: int) -> int:
     child = np.random.SeedSequence(base_seed, spawn_key=(trial,))
     return int(child.generate_state(1, np.uint64)[0])
-
-
-def _slice(types: Tuple, n: int, sockets: List[int], counts: Sequence[int]) -> SampledCode:
-    """Cut `sockets` into consecutive CNs: counts[i] CNs of type i mod len(types)."""
-    cns: List[Tuple[int, Tuple[int, ...]]] = []
-    pos = 0
-    for i, count in enumerate(counts):
-        t = i % len(types)
-        s = types[t].s
-        for _ in range(count):
-            cns.append((t, tuple(sockets[pos:pos + s])))
-            pos += s
-    return SampledCode(n=n, types=types, cns=tuple(cns))
 
 
 def sample_vn_regular(plan: InstancePlan, rng_seed: int) -> SampledCode:
@@ -113,11 +158,8 @@ def sample_vn_regular(plan: InstancePlan, rng_seed: int) -> SampledCode:
         raise ValueError(f"sample_vn_regular needs a VN-regular plan, got "
                          f"{type(spec).__name__}")
     rng = _rng_for(rng_seed)
-    sockets = list(range(plan.n))
-    for _ in range(spec.q - 1):
-        sockets += rng.permutation(plan.n).tolist()
-    per_layer = [c // spec.q for c in plan.cn_counts]
-    return _slice(spec.mixture.types, plan.n, sockets, per_layer * spec.q)
+    layers = [np.arange(plan.n)] + [rng.permutation(plan.n) for _ in range(spec.q - 1)]
+    return SampledCode(plan.n, plan.layout, np.concatenate(layers))
 
 
 def sample_unstructured(plan: InstancePlan, rng_seed: int) -> SampledCode:
@@ -127,9 +169,9 @@ def sample_unstructured(plan: InstancePlan, rng_seed: int) -> SampledCode:
         raise ValueError(f"sample_unstructured needs an unstructured plan, got "
                          f"{type(spec).__name__}")
     rng = _rng_for(rng_seed)
-    degrees = [d for d, count in plan.vn_degree_counts for _ in range(count)]
-    matched = rng.permutation(np.repeat(np.arange(plan.n), degrees)).tolist()
-    return _slice(spec.mixture.types, plan.n, matched, plan.cn_counts)
+    degrees = np.repeat(*zip(*plan.vn_degree_counts))
+    matched = rng.permutation(np.repeat(np.arange(plan.n), degrees))
+    return SampledCode(plan.n, plan.layout, matched)
 
 
 def global_parity_rows(code: SampledCode) -> List[int]:
@@ -137,13 +179,14 @@ def global_parity_rows(code: SampledCode) -> List[int]:
 
     A VN hitting two local positions of the same row cancels over GF(2).
     """
+    layout = code.layout
+    vns = code.sockets.tolist()
     rows = []
-    for t, sockets in code.cns:
-        for local_row in code.types[t].parity:
+    for t, start in zip(layout.cn_type.tolist(), layout.starts.tolist()):
+        for support in layout.row_supports[t]:
             row = 0
-            for p, v in enumerate(sockets):
-                if (local_row >> p) & 1:
-                    row ^= 1 << v
+            for p in support:
+                row ^= 1 << vns[start + p]
             rows.append(row)
     return rows
 
@@ -208,18 +251,44 @@ class DminStats:
     seed: int
 
 
+def _has_repeat(values: np.ndarray) -> bool:
+    ordered = np.sort(values)
+    return bool((ordered[1:] == ordered[:-1]).any())
+
+
+def _repeated_column(cols: SparseColumns, degree: np.ndarray) -> bool:
+    """Whether two columns are equal, given each VN's entry count (all >= 1).
+
+    Row v of the padded matrix holds VN v's checks, then its bits, each
+    zero-padded to the largest count; bits are never zero, so two rows are
+    equal exactly when the two columns are.
+    """
+    width = int(degree.max())
+    pos = np.arange(cols.vn.size) - (np.cumsum(degree) - degree)[cols.vn]
+    padded = np.zeros((degree.size, 2 * width), np.int64)
+    padded[cols.vn, pos] = cols.check
+    padded[cols.vn, width + pos] = cols.bits
+    return _has_repeat(padded.view(np.dtype((np.void, padded.itemsize * 2 * width))).ravel())
+
+
 def _run_trial(code: SampledCode, threshold_d: int) -> Tuple[bool, Optional[bool]]:
     """(weight-1 found, min distance <= threshold or None if over limit).
 
     A threshold <= 2 is read from the columns: a weight-1 codeword is a zero
     column and a weight-2 one a repeated column, so no row is built or reduced.
+    The column sketch clears most codes; a zero or repeated image is checked
+    on the sparse columns.
     """
     if threshold_d <= 2:
+        image = code.sketch
+        if image.all() and (threshold_d < 2 or not _has_repeat(image)):
+            return False, False
         cols = code.columns
-        one = 0 in cols
+        degree = np.bincount(cols.vn, minlength=code.n)
+        one = not degree.all()
         if threshold_d < 1:
             return one, False
-        return one, one or (threshold_d == 2 and len(set(cols)) < len(cols))
+        return one, one or (threshold_d == 2 and _repeated_column(cols, degree))
     one = has_weight_one_codeword(code)
     if one:
         return one, True

@@ -2,12 +2,20 @@ import glob
 import json
 import os
 import time
+import warnings
 from fractions import Fraction
 
 import pytest
 
-from gldpc.cli import MAX_GRID_POINTS, MAX_J, MAX_N, MAX_TRIALS, _parse_grid, main
-from gldpc.ensemble import MAX_DECIMAL_EXPONENT
+from gldpc.cli import MAX_GRID_POINTS, MAX_J, MAX_N, MAX_TRIALS, _fmt, _parse_grid, main
+from gldpc.ensemble import (
+    MAX_DECIMAL_EXPONENT,
+    CheckNodeType,
+    CnMixture,
+    VnRegularEnsemble,
+    design_rate,
+)
+from gldpc.growth import find_critical_ratio
 from gldpc.sampler import MAX_EDGES
 from gldpc.specfile import (
     MAX_CN_LENGTH,
@@ -17,6 +25,8 @@ from gldpc.specfile import (
 )
 
 from conftest import SPEC_DIR, spec_path
+
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
 
 def run(args):
@@ -167,6 +177,27 @@ class TestSweep:
         assert abs(float(first.split(",")[2]) - (1 - 2 * 3 / 7)) < 1e-12
         assert last.split(",")[4].startswith("not_exists")
 
+    def test_underflowing_type_weight(self, tmp_path):
+        # at gamma1 = 1e-330 the Hamming-63 edge weight rho_1/63 underflows to
+        # 0.0; it used to reach log(0) in the scan ends and exit 2
+        doc = {"cn_types": [{"kind": "hamming", "s": 63}, {"kind": "hamming", "s": 31}],
+               "rho": ["1/2", "1/2"], "q": 2}
+        spec = tmp_path / "h63_h31.json"
+        spec.write_text(json.dumps(doc))
+        out = tmp_path / "s.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["sweep", str(spec), "--gamma-grid", "0:1e-330:1e-330",
+                        "--out", str(out)]) == 0
+        rows = out.read_text().strip().split("\n")[1:]
+        # each point is solved as the Hamming-31 type alone
+        alone = VnRegularEnsemble(mixture=CnMixture.of([CheckNodeType.hamming(31)], [1]), q=2)
+        curve = find_critical_ratio(alone)
+        expected = [_fmt(design_rate(alone)), _fmt(curve.critical_ratio), curve.verdict]
+        assert len(rows) == 2
+        for row in rows:
+            assert row.split(",")[2:5] == expected
+
     @pytest.mark.parametrize("grid", ["0:1", "0:1:1e-9", "0:1e9:1"])
     def test_bad_grid(self, tmp_path, capsys, grid):
         # the two oversized grids are refused from their point count alone
@@ -235,6 +266,20 @@ class TestSample:
                         "--out", str(out)]) == 0
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1] == outputs[2]
+
+    # records written by an earlier release, whose sampler stored each CN as a
+    # tuple of VNs: a change of representation must draw the same graphs
+    @pytest.mark.parametrize("spec,n,trials,alpha", [
+        ("bound_mix", "147", "200", "0.02"),
+        ("hamming7_q2", "140", "4", "0.18"),
+    ])
+    def test_golden_records(self, tmp_path, spec, n, trials, alpha):
+        out = tmp_path / "sample.json"
+        assert run(["sample", spec_path(f"{spec}.json"), "--n", n, "--trials", trials,
+                    "--alpha", alpha, "--seed", "5", "--out", str(out)]) == 0
+        golden = os.path.join(GOLDEN_DIR, f"sample_{spec}.json")
+        with open(golden, "rb") as fh:
+            assert out.read_bytes() == fh.read()
 
     # +-1e308 is finite, but alpha * n is not: it used to end in an OverflowError
     @pytest.mark.parametrize("alpha", ["inf", "-inf", "nan", "1e308", "-1e308"])

@@ -179,7 +179,7 @@ def code_from_rows(rows, n):
         support = tuple(v for v in range(n) if (r >> v) & 1)
         t = (n + 1 - len(support)) & 1
         cns.append((t, support + (0,) * (n + 1 + t - len(support))))
-    return SampledCode(n=n, types=(_spc(n + 1), _spc(n + 2)), cns=tuple(cns))
+    return SampledCode.from_cns(n, (_spc(n + 1), _spc(n + 2)), cns)
 
 
 @settings(max_examples=150, deadline=None)

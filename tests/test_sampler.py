@@ -1,10 +1,13 @@
+import hashlib
 import math
 import random
 
+import numpy as np
 import pytest
 
 from gldpc import gf2
 from gldpc.ensemble import (
+    CHECK_ROWS,
     CheckNodeType,
     CnMixture,
     UnstructuredEnsemble,
@@ -16,6 +19,7 @@ from gldpc.sampler import (
     DEFAULT_K_LIMIT,
     SampledCode,
     _run_trial,
+    _trial_seed,
     estimate_dmin_stats,
     global_parity_rows,
     has_weight_one_codeword,
@@ -24,12 +28,13 @@ from gldpc.sampler import (
     sample_vn_regular,
     wilson_interval,
 )
+from gldpc.specfile import load_spec_file
 
-from conftest import dot_parity, is_codeword, vn_degrees
+from conftest import dot_parity, is_codeword, spec_path, vn_degrees
 
 
 def make_code(types, cns, n):
-    return SampledCode(n=n, types=tuple(types), cns=tuple(cns))
+    return SampledCode.from_cns(n, types, cns)
 
 
 def random_small_ensemble(rng):
@@ -76,6 +81,28 @@ def full_scan_min_distance(code):
             if best is None or w < best:
                 best = w
     return math.inf if best is None else best
+
+
+def transposed(rows, n):
+    """Column v of the stacked rows as a bitmask over them, for each v < n."""
+    return tuple(sum(((row >> v) & 1) << i for i, row in enumerate(rows)) for v in range(n))
+
+
+def column_bitmasks(code):
+    """Each VN's column as a bitmask over the stacked rows, read from the sparse
+    `code.columns`, whose entries must be sorted by (VN, check) and nonzero."""
+    offsets, row = [], 0  # the first stacked row of each check
+    for t, _ in code.cns:
+        rows = len(code.types[t].parity)
+        offsets += range(row, row + rows, CHECK_ROWS)
+        row += rows
+    entries = list(zip(*(a.tolist() for a in code.columns)))
+    assert entries == sorted(entries) and all(bits for _, _, bits in entries)
+    assert len({(v, c) for v, c, _ in entries}) == len(entries)
+    cols = [0] * code.n
+    for v, c, bits in entries:
+        cols[v] |= (bits % (1 << CHECK_ROWS)) << offsets[c]
+    return tuple(cols)
 
 
 class TestVnRegularSampling:
@@ -147,6 +174,27 @@ class TestUnstructuredSampling:
             sample_unstructured(validate_finite_instance(spec, 3), 1)
 
 
+# SHA-256 of the int64 little-endian socket VNs of each trial in turn (CN
+# order), taken from an earlier release that stored each CN as a tuple of VNs
+GOLDEN_SOCKETS = {
+    ("bound_mix", 147, 200):
+        "d8fb9b85bebc2e34a62aa9363464e9f3f242393ac662683455221960d7b36c59",
+    ("hamming7_q2", 140, 4):
+        "ac3926b5a9027f3bb64e0322daa2f1dae3dd211d5316fbd0e30a21ba295671e3",
+}
+
+
+@pytest.mark.parametrize("name,n,trials", sorted(GOLDEN_SOCKETS))
+def test_draws_match_golden_sockets(name, n, trials):
+    sf = load_spec_file(spec_path(f"{name}.json"))
+    spec = sf.vn_regular or sf.unstructured
+    digest = hashlib.sha256()
+    for i in range(trials):
+        code = sample_any(spec, n, _trial_seed(5, i))
+        digest.update(code.sockets.astype("<i8").tobytes())
+    assert digest.hexdigest() == GOLDEN_SOCKETS[name, n, trials]
+
+
 class TestSampledCode:
     def test_socket_count_checked(self, spc3):
         with pytest.raises(ValueError, match="expected 3"):
@@ -177,8 +225,7 @@ class TestCodewordChecks:
             code = sample_any(spec, n, rng.randrange(2 ** 32))
             rows = global_parity_rows(code)
             # the columns are the same matrix, transposed
-            assert code.columns == tuple(
-                sum(((row >> v) & 1) << i for i, row in enumerate(rows)) for v in range(n))
+            assert column_bitmasks(code) == transposed(rows, n)
             for _ in range(10):
                 v = rng.randrange(1 << n)
                 local = is_codeword(code, v)
@@ -268,6 +315,83 @@ class TestWeightOne:
                 assert _run_trial(code, d) == (one, dmin <= d)
             multi_edges += any(len(set(s)) < len(s) for _, s in code.cns)
         assert multi_edges
+
+
+def check_column_test(code, dmin):
+    """_run_trial at thresholds <= 2 against the minimum distance dmin, once
+    with the code's sketch and once with a sketch that clears nothing, so the
+    sparse columns decide every case."""
+    blind = SampledCode(code.n, code.layout, code.sockets)
+    blind.__dict__["sketch"] = np.zeros(code.n, np.int64)
+    for d in (-1, 0, 1, 2):
+        assert _run_trial(code, d) == (dmin == 1, dmin <= d)
+        assert _run_trial(blind, d) == (dmin == 1, dmin <= d)
+
+
+class TestColumnTest:
+    """Thresholds <= 2 read from the sketch and sparse columns, against an
+    exhaustive scan."""
+
+    def test_agrees_with_full_scan(self):
+        rng = random.Random(515)
+        for _ in range(120):
+            spec, n = random_small_ensemble(rng)
+            code = sample_any(spec, n, rng.randrange(2 ** 32))
+            check_column_test(code, full_scan_min_distance(code))
+
+    @pytest.mark.parametrize("cns,n,dmin", [
+        # VN 0 twice on one SPC: its equal local columns cancel to a zero column
+        ([(0, (0, 0, 1)), (0, (1, 2, 2))], 3, 1),
+        # VN 0 three times on one SPC does not cancel; VNs 1 and 2 share a column
+        ([(0, (0, 0, 0)), (0, (1, 2, 0))], 3, 2),
+        # three times, and nothing else: no nonzero codeword
+        ([(0, (0, 0, 0))], 1, math.inf),
+        # twice more on the other CN: VN 0 cancels there, so its column is CN 0's
+        ([(0, (0, 0, 0)), (0, (0, 0, 1))], 2, math.inf),
+    ])
+    def test_repeated_sockets(self, spc3, cns, n, dmin):
+        code = make_code([spc3], cns, n)
+        assert full_scan_min_distance(code) == dmin
+        assert column_bitmasks(code) == transposed(global_parity_rows(code), n)
+        check_column_test(code, dmin)
+
+    @pytest.mark.parametrize("cns,n", [
+        # seven VNs in one check, each with its own local column
+        ([(0, tuple(range(7)))], 7),
+        # VN 0 on the first two sockets reads the XOR of their distinct columns,
+        # which may equal the column of another socket
+        ([(0, (0, 0, 1, 2, 3, 4, 5))], 6),
+    ])
+    def test_unequal_local_columns(self, ham7, cns, n):
+        code = make_code([ham7], cns, n)
+        assert column_bitmasks(code) == transposed(global_parity_rows(code), n)
+        check_column_test(code, full_scan_min_distance(code))
+
+    def test_types_with_more_rows_than_a_check(self):
+        # a length-70 repetition code has 69 parity rows: two checks per CN
+        rep70 = CheckNodeType.explicit([1 | 1 << i for i in range(1, 70)], 70)
+        spc3 = CheckNodeType.spc(3)
+        rng = random.Random(70)
+        for _ in range(30):
+            n = rng.randrange(2, 9)
+            cns = [(0, tuple(rng.randrange(n) for _ in range(70))),
+                   (1, tuple(rng.randrange(n) for _ in range(3)))]
+            code = make_code([rep70, spc3], cns, n)
+            assert column_bitmasks(code) == transposed(global_parity_rows(code), n)
+            check_column_test(code, full_scan_min_distance(code))
+
+    def test_sketch_separates_exactly_the_distinct_columns(self):
+        # a linear image: equal columns, and zero ones, have equal (zero)
+        # images; with fixed 64-bit words no two distinct columns here collide
+        rng = random.Random(64)
+        for _ in range(60):
+            spec, n = random_small_ensemble(rng)
+            code = sample_any(spec, n, rng.randrange(2 ** 32))
+            cols, image = transposed(global_parity_rows(code), n), code.sketch.tolist()
+            for u in range(n):
+                assert (cols[u] == 0) == (image[u] == 0)
+                for v in range(u):
+                    assert (cols[u] == cols[v]) == (image[u] == image[v])
 
 
 class TestStats:
