@@ -31,11 +31,6 @@ MAX_DECIMAL_EXPONENT = 1000
 
 _EXPONENT = re.compile(r"[eE][-+]?([\d_]+)$")
 
-#: Most parity rows in one check of a CnLayout: a CN type with more rows is cut
-#: into checks of this many consecutive rows, so a check's part of a local
-#: column fits one 64-bit word.
-CHECK_ROWS = 64
-
 
 def to_fraction(x: RationalLike) -> Fraction:
     """Exact rational from int, Fraction, 'num/den' or decimal string, or float.
@@ -252,9 +247,7 @@ class CnLayout:
     """The check side of a finite code: the type of each CN, in socket order.
 
     CN i owns the types[cn_type[i]].s consecutive edge sockets from
-    starts[i]. The rest is derived once and read by every code with this
-    layout: check_entries and sketch for the column test, row_supports for
-    the stacked parity rows.
+    starts[i].
     """
 
     types: Tuple[CheckNodeType, ...]
@@ -265,61 +258,6 @@ class CnLayout:
         """First socket of each CN, then the socket count."""
         sizes = np.array([t.s for t in self.types])[self.cn_type]
         return np.concatenate(([0], np.cumsum(sizes)))
-
-    @functools.cached_property
-    def check_entries(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(socket, check, bits) arrays, one entry per socket and check.
-
-        The parity rows of each CN are cut into checks of at most CHECK_ROWS
-        consecutive rows, so a CN is one check unless its type has more rows.
-        An entry's bits (int64) are that check's part of its socket's local
-        column. Entries run in (CN, check, socket) order, so check never
-        decreases.
-        """
-        sizes = np.array([t.s for t in self.types])
-        blocks = np.array([-(-len(t.parity) // CHECK_ROWS) for t in self.types])
-        # table[t, b, p]: rows b * CHECK_ROWS onwards of local column p of type t
-        table = np.zeros((len(self.types), blocks.max(), sizes.max()), np.uint64)
-        for i, t in enumerate(self.types):
-            for p, col in enumerate(t.columns):
-                for b in range(blocks[i]):
-                    table[i, b, p] = (col >> (CHECK_ROWS * b)) & ((1 << CHECK_ROWS) - 1)
-        s, b = sizes[self.cn_type], blocks[self.cn_type]
-        per_cn = s * b
-        cn = np.repeat(np.arange(self.cn_type.size), per_cn)
-        j = np.arange(per_cn.sum()) - np.repeat(np.cumsum(per_cn) - per_cn, per_cn)
-        block, pos = np.divmod(j, s[cn])
-        return (self.starts[cn] + pos, (np.cumsum(b) - b)[cn] + block,
-                table[self.cn_type[cn], block, pos].view(np.int64))
-
-    @functools.cached_property
-    def sketch(self) -> np.ndarray:
-        """A 64-bit linear image of each socket's column of the stacked matrix.
-
-        Each stacked parity row gets a fixed pseudo-random word, and a socket's
-        image is the XOR of the words of the rows its local column meets. The
-        XOR of a VN's socket images is then the image of its column, linear
-        over GF(2): a zero or repeated column has a zero or repeated image,
-        while the converse fails only on a 64-bit collision.
-        """
-        rows = np.array([len(t.parity) for t in self.types])[self.cn_type]
-        words = np.frombuffer(np.random.default_rng(0).bytes(8 * int(rows.sum())), np.int64)
-        first_row = np.cumsum(rows) - rows
-        sketch = np.zeros(self.starts[-1], np.int64)
-        for t, ctype in enumerate(self.types):
-            cns = np.flatnonzero(self.cn_type == t)
-            image = np.zeros((cns.size, ctype.s), np.int64)
-            for i, row in enumerate(ctype.parity):
-                image[:, [p for p in range(ctype.s) if row >> p & 1]] ^= \
-                    words[first_row[cns] + i, None]
-            sketch[self.starts[cns, None] + np.arange(ctype.s)] = image
-        return sketch
-
-    @functools.cached_property
-    def row_supports(self) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
-        """For each type, the local socket positions on each of its parity rows."""
-        return tuple(tuple(tuple(p for p in range(t.s) if row >> p & 1) for row in t.parity)
-                     for t in self.types)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -31,23 +31,10 @@ UNSTRUCTURED = "unstructured"
 DEFAULT_K_LIMIT = 28
 #: Most edges a sampled code may have, refused before any draw: a large q or lambda
 #: degree at small n is otherwise unbounded. A trial's draw and column test cost about
-#: linear in the edges (2-vCPU VM, SPC-3 at n = 3, d <= 1: 0.02 s and 40 MB at 90 000
-#: edges, 0.12 s and 87 MB at 10^6); 90 000 is (3,6) at the largest --n, 30 000.
+#: linear in the edges (2-vCPU VM, SPC-3 at n = 3, d <= 2: 0.003 s and 40 MB at 90 000
+#: edges, 0.04 s and 89 MB at 10^6; with every column checked exactly, 0.05 s and 49 MB
+#: at 90 000); 90 000 is (3,6) at the largest --n, 30 000.
 MAX_EDGES = 90_000
-
-
-class SparseColumns(NamedTuple):
-    """The nonzero entries of the stacked parity-check matrix, column by column.
-
-    Entry e says that the column of VN vn[e] reads bits[e] on the rows of
-    check check[e] (see CnLayout): the XOR of that VN's local columns in the
-    check, never zero. Entries are sorted by VN, then check. A VN with no
-    entries has a zero column.
-    """
-
-    vn: np.ndarray
-    check: np.ndarray
-    bits: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,33 +96,60 @@ class SampledCode:
         """The stacked parity-check rows (`global_parity_rows`), built once."""
         return tuple(global_parity_rows(self))
 
-    @functools.cached_property
-    def columns(self) -> SparseColumns:
-        """The stacked parity-check matrix's columns in sparse form.
+    def columns(self, vns: Sequence[int]) -> List[Tuple[Tuple[int, int], ...]]:
+        """The given VNs' columns of the stacked parity-check matrix, exactly.
 
-        One stable sort of the check entries by VN keeps each VN's checks in
-        order, and one XOR reduction over each run of equal (VN, check) merges
-        a VN seen on several sockets of a check, cancelling as over GF(2).
+        A column is the (CN, bits) pairs of the CNs whose rows it meets, in CN
+        order, where bits is the XOR of the VN's local columns in that CN (so a
+        VN seen twice on one SPC cancels, as over GF(2)); a zero column is the
+        empty tuple. Only the given VNs' own sockets are read.
         """
-        entry_socket, entry_check, entry_bits = self.layout.check_entries
-        vns = self.sockets[entry_socket]
-        order = np.argsort(vns, kind="stable")
-        vn, check = vns[order], entry_check[order]
-        run = np.empty(vn.size, bool)
-        run[:1] = True
-        run[1:] = (vn[1:] != vn[:-1]) | (check[1:] != check[:-1])
-        first = np.flatnonzero(run)
-        bits = np.bitwise_xor.reduceat(entry_bits[order], first)
-        nonzero = bits != 0
-        kept = first[nonzero]
-        return SparseColumns(vn[kept], check[kept], bits[nonzero])
+        vns = np.asarray(vns, dtype=np.int64).tolist()
+        wanted = np.zeros(self.n, bool)
+        wanted[vns] = True
+        socket = np.flatnonzero(wanted[self.sockets])
+        socket = socket[np.argsort(self.sockets[socket], kind="stable")]
+        starts = self.layout.starts
+        cn = np.searchsorted(starts, socket, "right") - 1
+        local = [t.columns for t in self.types]
+        entries = {}
+        for v, c, t, p in zip(self.sockets[socket].tolist(), cn.tolist(),
+                              self.layout.cn_type[cn].tolist(), (socket - starts[cn]).tolist()):
+            col = entries.setdefault(v, {})
+            col[c] = col.get(c, 0) ^ local[t][p]
+        return [tuple((c, bits) for c, bits in entries.get(v, {}).items() if bits)
+                for v in vns]
 
     @functools.cached_property
     def sketch(self) -> np.ndarray:
-        """Each VN's column image (see CnLayout.sketch): the XOR of its sockets'."""
+        """Each VN's column image (see `_socket_images`): the XOR of its sockets'."""
         image = np.zeros(self.n, np.int64)
-        np.bitwise_xor.at(image, self.sockets, self.layout.sketch)
+        np.bitwise_xor.at(image, self.sockets, _socket_images(self.layout))
         return image
+
+
+@functools.lru_cache(maxsize=8)
+def _socket_images(layout: CnLayout) -> np.ndarray:
+    """A 64-bit linear image of each socket's column of the stacked matrix.
+
+    Each stacked parity row gets a fixed pseudo-random word, and a socket's
+    image is the XOR of the words of the rows its local column meets. The
+    XOR of a VN's socket images is then the image of its column, linear
+    over GF(2): a zero or repeated column has a zero or repeated image,
+    while the converse fails only on a 64-bit collision.
+    """
+    rows = np.array([len(t.parity) for t in layout.types])[layout.cn_type]
+    words = np.frombuffer(np.random.default_rng(0).bytes(8 * int(rows.sum())), np.int64)
+    first_row = np.cumsum(rows) - rows
+    images = np.zeros(layout.starts[-1], np.int64)
+    for t, ctype in enumerate(layout.types):
+        cns = np.flatnonzero(layout.cn_type == t)
+        image = np.zeros((cns.size, ctype.s), np.int64)
+        for i, row in enumerate(ctype.parity):
+            image[:, [p for p in range(ctype.s) if row >> p & 1]] ^= \
+                words[first_row[cns] + i, None]
+        images[layout.starts[cns, None] + np.arange(ctype.s)] = image
+    return images
 
 
 def _rng_for(seed: int) -> np.random.Generator:
@@ -180,10 +194,12 @@ def global_parity_rows(code: SampledCode) -> List[int]:
     A VN hitting two local positions of the same row cancels over GF(2).
     """
     layout = code.layout
+    supports = [[[p for p in range(t.s) if row >> p & 1] for row in t.parity]
+                for t in layout.types]
     vns = code.sockets.tolist()
     rows = []
     for t, start in zip(layout.cn_type.tolist(), layout.starts.tolist()):
-        for support in layout.row_supports[t]:
+        for support in supports[t]:
             row = 0
             for p in support:
                 row ^= 1 << vns[start + p]
@@ -256,19 +272,17 @@ def _has_repeat(values: np.ndarray) -> bool:
     return bool((ordered[1:] == ordered[:-1]).any())
 
 
-def _repeated_column(cols: SparseColumns, degree: np.ndarray) -> bool:
-    """Whether two columns are equal, given each VN's entry count (all >= 1).
-
-    Row v of the padded matrix holds VN v's checks, then its bits, each
-    zero-padded to the largest count; bits are never zero, so two rows are
-    equal exactly when the two columns are.
-    """
-    width = int(degree.max())
-    pos = np.arange(cols.vn.size) - (np.cumsum(degree) - degree)[cols.vn]
-    padded = np.zeros((degree.size, 2 * width), np.int64)
-    padded[cols.vn, pos] = cols.check
-    padded[cols.vn, width + pos] = cols.bits
-    return _has_repeat(padded.view(np.dtype((np.void, padded.itemsize * 2 * width))).ravel())
+def _suspects(image: np.ndarray, shared: bool) -> np.ndarray:
+    """The VNs whose image is zero or, if shared, equal to another VN's: by
+    linearity, every VN with a zero or repeated column is among them."""
+    flagged = image == 0
+    if shared:
+        order = np.argsort(image, kind="stable")
+        ordered = image[order]
+        same = ordered[1:] == ordered[:-1]
+        flagged[order[1:][same]] = True
+        flagged[order[:-1][same]] = True
+    return np.flatnonzero(flagged)
 
 
 def _run_trial(code: SampledCode, threshold_d: int) -> Tuple[bool, Optional[bool]]:
@@ -276,19 +290,18 @@ def _run_trial(code: SampledCode, threshold_d: int) -> Tuple[bool, Optional[bool
 
     A threshold <= 2 is read from the columns: a weight-1 codeword is a zero
     column and a weight-2 one a repeated column, so no row is built or reduced.
-    The column sketch clears most codes; a zero or repeated image is checked
-    on the sparse columns.
+    The column sketch clears most codes; otherwise only the VNs with a zero
+    or shared image have their exact columns built and compared.
     """
     if threshold_d <= 2:
         image = code.sketch
         if image.all() and (threshold_d < 2 or not _has_repeat(image)):
             return False, False
-        cols = code.columns
-        degree = np.bincount(cols.vn, minlength=code.n)
-        one = not degree.all()
+        cols = code.columns(_suspects(image, threshold_d == 2))
+        one = () in cols
         if threshold_d < 1:
             return one, False
-        return one, one or (threshold_d == 2 and _repeated_column(cols, degree))
+        return one, one or (threshold_d == 2 and len(set(cols)) < len(cols))
     one = has_weight_one_codeword(code)
     if one:
         return one, True

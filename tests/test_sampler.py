@@ -1,13 +1,13 @@
 import hashlib
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from gldpc import gf2
 from gldpc.ensemble import (
-    CHECK_ROWS,
     CheckNodeType,
     CnMixture,
     UnstructuredEnsemble,
@@ -88,21 +88,24 @@ def transposed(rows, n):
     return tuple(sum(((row >> v) & 1) << i for i, row in enumerate(rows)) for v in range(n))
 
 
-def column_bitmasks(code):
-    """Each VN's column as a bitmask over the stacked rows, read from the sparse
-    `code.columns`, whose entries must be sorted by (VN, check) and nonzero."""
-    offsets, row = [], 0  # the first stacked row of each check
-    for t, _ in code.cns:
-        rows = len(code.types[t].parity)
-        offsets += range(row, row + rows, CHECK_ROWS)
-        row += rows
-    entries = list(zip(*(a.tolist() for a in code.columns)))
-    assert entries == sorted(entries) and all(bits for _, _, bits in entries)
-    assert len({(v, c) for v, c, _ in entries}) == len(entries)
-    cols = [0] * code.n
-    for v, c, bits in entries:
-        cols[v] |= (bits % (1 << CHECK_ROWS)) << offsets[c]
-    return tuple(cols)
+def columns_from_rows(code, rows):
+    """Each VN's column in the form of `SampledCode.columns`, read off the
+    stacked rows: its nonzero (CN, bits over that CN's rows) pairs."""
+    cols, first = transposed(rows, code.n), 0
+    out = [[] for _ in range(code.n)]
+    for c, (t, _) in enumerate(code.cns):
+        k = len(code.types[t].parity)
+        for v in range(code.n):
+            bits = (cols[v] >> first) & ((1 << k) - 1)
+            if bits:
+                out[v].append((c, bits))
+        first += k
+    return [tuple(col) for col in out]
+
+
+def check_columns(code):
+    """The exact columns are the stacked rows, transposed."""
+    assert code.columns(range(code.n)) == columns_from_rows(code, global_parity_rows(code))
 
 
 class TestVnRegularSampling:
@@ -225,7 +228,7 @@ class TestCodewordChecks:
             code = sample_any(spec, n, rng.randrange(2 ** 32))
             rows = global_parity_rows(code)
             # the columns are the same matrix, transposed
-            assert column_bitmasks(code) == transposed(rows, n)
+            assert code.columns(range(n)) == columns_from_rows(code, rows)
             for _ in range(10):
                 v = rng.randrange(1 << n)
                 local = is_codeword(code, v)
@@ -320,7 +323,7 @@ class TestWeightOne:
 def check_column_test(code, dmin):
     """_run_trial at thresholds <= 2 against the minimum distance dmin, once
     with the code's sketch and once with a sketch that clears nothing, so the
-    sparse columns decide every case."""
+    exact columns decide every case."""
     blind = SampledCode(code.n, code.layout, code.sockets)
     blind.__dict__["sketch"] = np.zeros(code.n, np.int64)
     for d in (-1, 0, 1, 2):
@@ -329,7 +332,7 @@ def check_column_test(code, dmin):
 
 
 class TestColumnTest:
-    """Thresholds <= 2 read from the sketch and sparse columns, against an
+    """Thresholds <= 2 read from the sketch and exact columns, against an
     exhaustive scan."""
 
     def test_agrees_with_full_scan(self):
@@ -352,7 +355,7 @@ class TestColumnTest:
     def test_repeated_sockets(self, spc3, cns, n, dmin):
         code = make_code([spc3], cns, n)
         assert full_scan_min_distance(code) == dmin
-        assert column_bitmasks(code) == transposed(global_parity_rows(code), n)
+        check_columns(code)
         check_column_test(code, dmin)
 
     @pytest.mark.parametrize("cns,n", [
@@ -364,11 +367,11 @@ class TestColumnTest:
     ])
     def test_unequal_local_columns(self, ham7, cns, n):
         code = make_code([ham7], cns, n)
-        assert column_bitmasks(code) == transposed(global_parity_rows(code), n)
+        check_columns(code)
         check_column_test(code, full_scan_min_distance(code))
 
     def test_types_with_more_rows_than_a_check(self):
-        # a length-70 repetition code has 69 parity rows: two checks per CN
+        # a length-70 repetition code has 69 parity rows, more than a word
         rep70 = CheckNodeType.explicit([1 | 1 << i for i in range(1, 70)], 70)
         spc3 = CheckNodeType.spc(3)
         rng = random.Random(70)
@@ -377,8 +380,31 @@ class TestColumnTest:
             cns = [(0, tuple(rng.randrange(n) for _ in range(70))),
                    (1, tuple(rng.randrange(n) for _ in range(3)))]
             code = make_code([rep70, spc3], cns, n)
-            assert column_bitmasks(code) == transposed(global_parity_rows(code), n)
+            check_columns(code)
             check_column_test(code, full_scan_min_distance(code))
+
+    def test_high_degree_vn_costs_its_sockets(self, spc3_mixture):
+        # VN 2700 sits on 3600 of the 9000 sockets: with every VN checked
+        # exactly, memory stays about linear in the edges (an (n, degree)
+        # padded matrix would be about 80 MB here)
+        spec = UnstructuredEnsemble.of(spc3_mixture, {2: "3/5", 3600: "2/5"})
+        plan = validate_finite_instance(spec, 2701)
+        assert plan.vn_degree_counts == ((2, 2700), (3600, 1))
+        for seed in range(2):
+            code = sample_unstructured(plan, seed)
+            blind = SampledCode(code.n, code.layout, code.sockets)
+            blind.__dict__["sketch"] = np.zeros(code.n, np.int64)
+            tracemalloc.start()
+            try:
+                assert _run_trial(blind, 2) == _run_trial(code, 2)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 16 * 2 ** 20
+            # on SPC-3 each local column is 1, so the big VN's column holds
+            # the CNs that see it an odd number of times
+            seen = np.bincount(np.flatnonzero(code.sockets == 2700) // 3, minlength=3000)
+            assert code.columns([2700]) == [tuple((c, 1) for c in np.flatnonzero(seen % 2).tolist())]
 
     def test_sketch_separates_exactly_the_distinct_columns(self):
         # a linear image: equal columns, and zero ones, have equal (zero)
