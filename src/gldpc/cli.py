@@ -8,6 +8,7 @@ CSV with fixed schemas ('.' decimals, 12 significant digits). Exit codes:
 from __future__ import annotations
 
 import argparse
+import decimal
 import json
 import math
 import sys
@@ -125,7 +126,21 @@ def _parse_grid(text: str) -> List[Fraction]:
     if count > MAX_GRID_POINTS:
         raise SpecFileError(f"--gamma-grid: {text!r} has {count} points, "
                             f"more than the cap of {MAX_GRID_POINTS}")
-    return [a + i * step for i in range(count)]
+    grid = [a + i * step for i in range(count)]
+    # sweep prints each point as a float; points it cannot tell apart are refused
+    printed = [_fmt(float(x)) for x in grid]
+    for i in range(1, count):
+        if printed[i] == printed[i - 1]:
+            raise SpecFileError(
+                f"--gamma-grid: points {_exact(grid[i - 1])} and {_exact(grid[i])} "
+                f"of {text!r} both print as {printed[i]}")
+    return grid
+
+
+def _exact(x: Fraction) -> str:
+    """x in decimal, exact unless it needs more than 30 significant digits."""
+    with decimal.localcontext(prec=30):
+        return f"{decimal.Decimal(x.numerator) / x.denominator:g}"
 
 
 def _select_view(spec: SpecFile, flag: Optional[str], command: str):

@@ -187,16 +187,32 @@ class TestSweep:
         out = tmp_path / "s.csv"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert run(["sweep", str(spec), "--gamma-grid", "0:1e-330:1e-330",
+            assert run(["sweep", str(spec), "--gamma-grid", "1e-330:1e-330:1",
                         "--out", str(out)]) == 0
         rows = out.read_text().strip().split("\n")[1:]
-        # each point is solved as the Hamming-31 type alone
+        # the point is solved as the Hamming-31 type alone
         alone = VnRegularEnsemble(mixture=CnMixture.of([CheckNodeType.hamming(31)], [1]), q=2)
         curve = find_critical_ratio(alone)
         expected = [_fmt(design_rate(alone)), _fmt(curve.critical_ratio), curve.verdict]
-        assert len(rows) == 2
-        for row in rows:
-            assert row.split(",")[2:5] == expected
+        assert len(rows) == 1
+        assert rows[0].split(",")[2:5] == expected
+
+    @pytest.mark.parametrize("grid,points,printed", [
+        ("0:1e-330:1e-330", "0 and 1e-330", "0"),
+        ("1:1.000000000001:1e-13", "1 and 1.0000000000001", "1"),
+    ])
+    def test_grid_points_printed_alike(self, tmp_path, capsys, grid, points, printed):
+        # sweep prints gamma1 as a float: two rows it cannot tell apart are refused
+        out = tmp_path / "x.csv"
+        assert run(["sweep", spec_path("mixed_spc3_hamming7_q2.json"),
+                    "--gamma-grid", grid, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"points {points} of {grid!r} both print as {printed}" in err
+        assert not out.exists()
+
+    def test_default_grid_prints_every_point_apart(self):
+        grid = _parse_grid("0:1:0.05")
+        assert len({_fmt(float(x)) for x in grid}) == len(grid) == 21
 
     @pytest.mark.parametrize("grid", ["0:1", "0:1:1e-9", "0:1e9:1"])
     def test_bad_grid(self, tmp_path, capsys, grid):

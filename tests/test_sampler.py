@@ -83,6 +83,13 @@ def full_scan_min_distance(code):
     return math.inf if best is None else best
 
 
+def walk_min_distance(code):
+    """Oracle: least nonzero weight of the span walk's histogram."""
+    basis = gf2.nullspace_basis(code.parity_rows, code.n, DEFAULT_K_LIMIT)
+    hist = gf2.span_weight_histogram(basis, code.n)
+    return next((w for w in range(1, code.n + 1) if hist[w]), math.inf)
+
+
 def transposed(rows, n):
     """Column v of the stacked rows as a bitmask over them, for each v < n."""
     return tuple(sum(((row >> v) & 1) << i for i, row in enumerate(rows)) for v in range(n))
@@ -283,6 +290,52 @@ class TestMinDistance:
             spec, n = random_small_ensemble(rng)
             code = sample_any(spec, n, rng.randrange(2 ** 32))
             assert min_distance(code) == full_scan_min_distance(code)
+
+    def test_hamming7_draws_match_the_walk(self):
+        # trials of the seed-5 golden record and on: k = 20, six or fewer sets
+        spec = load_spec_file(spec_path("hamming7_q2.json")).vn_regular
+        dists = []
+        for i in range(40):
+            code = sample_any(spec, 140, _trial_seed(5, i))
+            basis = gf2.nullspace_basis(code.parity_rows, code.n, DEFAULT_K_LIMIT)
+            assert len(basis) == 20
+            dists.append(min_distance(code))
+            assert dists[-1] == walk_min_distance(code)
+        assert sum(d <= 25 for d in dists[:4]) == 2
+        assert min(dists) <= 25 < max(dists)
+
+    def test_hamming7_never_walks(self, monkeypatch):
+        spec = load_spec_file(spec_path("hamming7_q2.json")).vn_regular
+        codes = [sample_any(spec, 140, _trial_seed(5, i)) for i in range(10)]
+        expected = [walk_min_distance(code) for code in codes]
+
+        def refuse(*args):
+            raise AssertionError("min_distance walked the span")
+
+        monkeypatch.setattr(gf2, "span_weight_histogram", refuse)
+        assert [min_distance(code) for code in codes] == expected
+
+    def test_hamming15_at_the_dimension_limit(self):
+        # k = 28: the walk takes 2^28 words, the search those of weights 1 and 2
+        spec = load_spec_file(spec_path("hamming15_q2.json")).vn_regular
+        code = sample_any(spec, 60, _trial_seed(1, 0))
+        basis = gf2.nullspace_basis(code.parity_rows, code.n, DEFAULT_K_LIMIT)
+        assert len(basis) == DEFAULT_K_LIMIT == 28
+        assert min_distance(code) == walk_min_distance(code) == 3
+
+    def test_memory_at_the_dimension_limit(self):
+        spec = load_spec_file(spec_path("hamming15_q2.json")).vn_regular
+        for i in range(4):
+            code = sample_any(spec, 60, _trial_seed(1, i))
+            code.parity_rows
+            tracemalloc.start()
+            try:
+                d = min_distance(code)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert d == 3
+            assert peak <= 2 * gf2._WALK_BUFFER_BYTES
 
 
 class TestWeightOne:
