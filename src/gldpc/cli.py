@@ -139,8 +139,9 @@ def _parse_grid(text: str) -> List[Fraction]:
 
 def _exact(x: Fraction) -> str:
     """x in decimal, exact unless it needs more than 30 significant digits."""
-    with decimal.localcontext(prec=30):
-        return f"{decimal.Decimal(x.numerator) / x.denominator:g}"
+    quotient = decimal.Context(prec=30).divide(decimal.Decimal(x.numerator),
+                                               decimal.Decimal(x.denominator))
+    return f"{quotient:g}"
 
 
 def _select_view(spec: SpecFile, flag: Optional[str], command: str):

@@ -209,9 +209,9 @@ class _Subsets:
         self.rows, self.cap, self.keep = rows, cap, keep
         self.levels = [np.zeros(rows.shape[:2] + (1,), np.uint64), rows]
 
-    def words(self, w: int, r: Optional[int] = None):
-        """Chunks (n_words, sets, at most cap) of the w-subsets of the first r rows
-        (of all rows by default)."""
+    def words(self, w: int, sets: slice, r: Optional[int] = None):
+        """Chunks (n_words, len(sets), at most cap) of the w-subsets of the first
+        r rows (of all rows by default) of the given sets."""
         k = self.rows.shape[2]
         total = math.comb(k if r is None else r, w)
         kept = sum(level.shape[2] for level in self.levels)
@@ -222,22 +222,17 @@ class _Subsets:
                                ^ self.rows[..., np.repeat(np.arange(k), counts)])
         if w < len(self.levels):
             for i in range(0, total, self.cap):
-                yield self.levels[w][..., i:min(i + self.cap, total)]
+                yield self.levels[w][:, sets, i:min(i + self.cap, total)]
             return
         for last in range(w - 1, k if r is None else r):
-            for chunk in self.words(w - 1, last):
-                yield chunk ^ self.rows[..., last, None]
+            for chunk in self.words(w - 1, sets, last):
+                yield chunk ^ self.rows[:, sets, last, None]
 
 
-def _walk_is_cheaper(k: int, n_cols: int) -> bool:
-    """True when the span walk makes at most 32 passes over its low table.
-
-    Splitting the information sets costs about half a millisecond of Python
-    work, the time of some 32 such passes: on a 2-vCPU x86 VM, Hamming-7 codes
-    at n = 112 (k = 16, 16 passes) walk in 0.28 ms against 0.76 ms, and at
-    n = 126 (k = 18, 64 passes) in 1.06 ms against 0.99 ms.
-    """
-    return k <= _low_rows(max(1, -(-n_cols // 64))) + 5
+#: Walk words that one word enumerated by `min_weight` costs in time: 4 to 5.5
+#: ns a uint64 word against the walk's 2 to 2.7 ns, on random bases with n from
+#: 300 to 4000 that the search runs to its hand-over (2-vCPU x86 VM).
+_SEARCH_WORD_COST = 2
 
 
 def _least_weight(hist: Sequence[int]) -> Union[int, float]:
@@ -256,24 +251,24 @@ def min_weight(basis: Sequence[int], n_cols: int) -> Union[int, float]:
     weight w, a codeword not yet seen has more than w ones on each of those and
     at least w on the others, so a least weight found of at most mw + j is the
     answer. A message is split into its halves over the low and high rows,
-    whose subset tables are XORed pairwise. When the next step would bring the
-    words enumerated past 2^k, `span_weight_histogram` finishes instead, so
-    the worst case enumerates about two walks' worth of words. A span small
-    enough to walk in a few passes (`_walk_is_cheaper`) is walked at once.
-    Buffers stay within a few times _WALK_BUFFER_BYTES.
+    whose subset tables are XORed pairwise into one reused buffer. A word
+    enumerated costs about _SEARCH_WORD_COST walk words, so when the next step
+    would bring the search's cost past 2^k walk words, `span_weight_histogram`
+    finishes instead. Buffers stay within a few times _WALK_BUFFER_BYTES.
     """
-    if _walk_is_cheaper(len(basis), n_cols):
-        return _least_weight(span_weight_histogram(basis, n_cols))
-    # a set's bits take r n bytes for r rows; with more than 2^r / r sets,
-    # weight 1 alone would enumerate more words than the walk
+    # a set's bits take r n bytes for r rows; with more sets than 2^r over r
+    # times the word cost, weight 1 alone would cost more than the walk
     r = max(1, len(basis))
-    max_sets = max(1, min(_WALK_BUFFER_BYTES // (r * max(1, n_cols)), (1 << r) // r))
+    max_sets = max(1, min(_WALK_BUFFER_BYTES // (r * max(1, n_cols)),
+                          (1 << r) // (r * _SEARCH_WORD_COST)))
     sets, gens = _information_sets(basis, n_cols, max_sets)
     if not sets:
         return math.inf
     stack = _outside_words(sets, gens, n_cols)
     (n_words, m, k), best, words = stack.shape, math.inf, 0
-    cap = max(1, _WALK_BUFFER_BYTES // (8 * m * n_words))
+    size = max(_WALK_BUFFER_BYTES // 8, m * n_words)
+    cap = size // (m * n_words)
+    xors, counts = np.empty(size, np.uint64), np.empty(size, np.uint8)
     weight_type = np.min_scalar_type(64 * n_words)
     half = k // 2
     low, high = (_Subsets(part, cap, cap // 2) for part in np.split(stack, [half], axis=2))
@@ -284,22 +279,25 @@ def min_weight(basis: Sequence[int], n_cols: int) -> Union[int, float]:
             if best <= m * w + j:
                 return best
             words += group * math.comb(k, w)
-            if words > 1 << k:
+            if words * _SEARCH_WORD_COST > 1 << k:
                 return _least_weight(span_weight_histogram(gens[0], n_cols))
+            batch = slice(j, j + group)
             for a in range(max(0, w - (k - half)), min(w, half) + 1):
                 # the larger table goes last, as numpy's inner loop
                 pair = [(low, a), (high, w - a)]
                 if math.comb(half, a) > math.comb(k - half, w - a):
                     pair.reverse()
                 (outer, i), (inner, i2) = pair
-                for x in outer.words(i):
-                    for y in inner.words(i2):
-                        xs, ys = x[:, j:j + group], y[:, j:j + group, None, :]
-                        step = max(1, cap // (group * ys.shape[3]))
-                        for s in range(0, xs.shape[2], step):
-                            both = np.bitwise_xor(xs[..., s:s + step, None], ys, order="C")
-                            weights = np.bitwise_count(both).sum(0, dtype=weight_type)
-                            best = min(best, w + int(weights.min()))
+                for x in outer.words(i, batch):
+                    for y in inner.words(i2, batch):
+                        step = max(1, size // y.size)
+                        for s in range(0, x.shape[2], step):
+                            xs = x[:, :, s:s + step, None]
+                            shape = xs.shape[:3] + y.shape[2:]
+                            both = np.bitwise_xor(xs, y[:, :, None, :],
+                                                  out=xors[:math.prod(shape)].reshape(shape))
+                            ones = np.bitwise_count(both, out=counts[:both.size].reshape(shape))
+                            best = min(best, w + int(ones.sum(0, dtype=weight_type).min()))
     return best
 
 

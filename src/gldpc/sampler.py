@@ -210,7 +210,8 @@ def global_parity_rows(code: SampledCode) -> List[int]:
 def min_distance(code: SampledCode) -> Union[int, float]:
     """Exact minimum distance: the least nonzero weight of the null space, by
     `gf2.min_weight` (Brouwer–Zimmermann over disjoint information sets, which
-    hands over to the full span walk only where that costs less).
+    hands over to the full span walk once its cost would pass one walk's, so
+    that a large span never takes much more than two walks' time).
 
     Returns math.inf for the zero code; refuses (DimensionLimitError) when
     the code dimension exceeds DEFAULT_K_LIMIT, before the null space is built.

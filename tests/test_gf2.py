@@ -2,7 +2,6 @@
 independent column-scanning elimination on sampled stacked matrices; the numpy
 span walk against a bigint Gray-code walk."""
 
-import contextlib
 import functools
 import math
 import random
@@ -237,36 +236,11 @@ def least_weight(hist):
     return next((w for w in range(1, len(hist)) if hist[w]), math.inf)
 
 
-@contextlib.contextmanager
-def searching():
-    """min_weight runs its information-set search whatever the span's size."""
-    walk_first = gf2._walk_is_cheaper
-    gf2._walk_is_cheaper = lambda k, n_cols: False
-    try:
-        yield
-    finally:
-        gf2._walk_is_cheaper = walk_first
-
-
 @settings(max_examples=150, deadline=None)
 @given(spanning_rows())
 def test_min_weight_matches_gray_walk(mat):
     rows, n = mat
-    expected = least_weight(gray_span_weight_histogram(rows, n))
-    assert gf2.min_weight(rows, n) == expected
-    with searching():
-        assert gf2.min_weight(rows, n) == expected
-
-
-def test_small_spans_are_walked(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("split a span the walk covers in a few passes")
-
-    rng = random.Random(3)
-    rows = [rng.getrandbits(140) for _ in range(12)]
-    expected = least_weight(gf2.span_weight_histogram(rows, 140))
-    monkeypatch.setattr(gf2, "_information_sets", refuse)
-    assert gf2.min_weight(rows, 140) == expected
+    assert gf2.min_weight(rows, n) == least_weight(gray_span_weight_histogram(rows, n))
 
 
 @pytest.mark.parametrize("n", [1, 5, 64, 140])
@@ -275,20 +249,18 @@ def test_min_weight_of_no_and_one_row(n):
     rowsets = [[], [0, 0]]
     for row in [1 << (n - 1), (1 << n) - 1] + [rng.getrandbits(n) | 1 for _ in range(5)]:
         rowsets += [[row], [row, row, 0]]
-    with searching():
-        for rows in rowsets:
-            assert gf2.min_weight(rows, n) == least_weight(gray_span_weight_histogram(rows, n))
+    for rows in rowsets:
+        assert gf2.min_weight(rows, n) == least_weight(gray_span_weight_histogram(rows, n))
 
 
 @pytest.mark.parametrize("k,n", [(6, 7), (10, 15), (12, 20), (16, 31), (20, 39)])
 def test_min_weight_with_one_information_set(k, n):
     # fewer than 2k columns leave room for a single information set
     rng = random.Random(k * n)
-    with searching():
-        for _ in range(5):
-            rows = [rng.getrandbits(n) for _ in range(k)]
-            assert len(gf2._information_sets(rows, n, 99)[0]) == 1
-            assert gf2.min_weight(rows, n) == least_weight(gf2.span_weight_histogram(rows, n))
+    for _ in range(5):
+        rows = [rng.getrandbits(n) for _ in range(k)]
+        assert len(gf2._information_sets(rows, n, 99)[0]) == 1
+        assert gf2.min_weight(rows, n) == least_weight(gf2.span_weight_histogram(rows, n))
 
 
 @pytest.mark.parametrize("blocks,low_rank", [(1, 0), (1, 3), (2, 2), (3, 5)])
@@ -311,27 +283,32 @@ def test_min_weight_with_rank_deficient_leftover(blocks, low_rank):
         sets, _ = gf2._information_sets(rows, n, 99)
         unused = set(range(n)).difference(*sets)
         assert gf2.rank(transposed(rows, n, sorted(unused)), len(rows)) < k
-        with searching():
-            assert gf2.min_weight(rows, n) == least_weight(gf2.span_weight_histogram(rows, n))
+        assert gf2.min_weight(rows, n) == least_weight(gf2.span_weight_histogram(rows, n))
 
 
 @pytest.mark.parametrize("k,n", [(6, 140), (10, 100), (4, 1000), (20, 2000)])
 def test_min_weight_hands_over_to_the_walk(monkeypatch, k, n):
-    # many sets of few rows: the next weight would enumerate more than 2^k words
-    calls = []
-    walk = gf2.span_weight_histogram
+    # many sets of few rows: the next weight would cost more than walking 2^k words
+    calls, popcounted = [], []
+    walk, popcount = gf2.span_weight_histogram, np.bitwise_count
 
     def spy(basis, n_cols):
-        calls.append(len(basis))
+        calls.append(sum(popcounted))
         return walk(basis, n_cols)
+
+    def counting(words, **kwargs):
+        popcounted.append(words.size)
+        return popcount(words, **kwargs)
 
     rng = random.Random(n)
     rows = [rng.getrandbits(n) for _ in range(k)]
     expected = least_weight(walk(rows, n))
     monkeypatch.setattr(gf2, "span_weight_histogram", spy)
-    with searching():
-        assert gf2.min_weight(rows, n) == expected
-    assert calls == [k]
+    monkeypatch.setattr(np, "bitwise_count", counting)
+    assert gf2.min_weight(rows, n) == expected
+    # the search popcounted at most 2^k / _SEARCH_WORD_COST words before the walk
+    assert len(calls) == 1 and 0 < calls[0]
+    assert calls[0] <= (1 << k) // gf2._SEARCH_WORD_COST * -(-(n - k) // 64)
 
 
 @pytest.mark.parametrize("budget", [64, 1000, 1 << 12])
@@ -339,24 +316,22 @@ def test_min_weight_with_small_buffers(monkeypatch, budget):
     # small buffers keep no subset table past the rows and cut many chunks
     monkeypatch.setattr(gf2, "_WALK_BUFFER_BYTES", budget)
     rng = random.Random(budget)
-    with searching():
-        for k, n in ((12, 30), (14, 64), (10, 140)):
-            for _ in range(3):
-                rows = [rng.getrandbits(n) for _ in range(k)]
-                assert gf2.min_weight(rows, n) == least_weight(gray_span_weight_histogram(rows, n))
+    for k, n in ((12, 30), (14, 64), (10, 140)):
+        for _ in range(3):
+            rows = [rng.getrandbits(n) for _ in range(k)]
+            assert gf2.min_weight(rows, n) == least_weight(gray_span_weight_histogram(rows, n))
 
 
 @pytest.mark.parametrize("k,n", [(28, 56), (12, 3000)])
 def test_min_weight_memory_within_budget(k, n):
     rng = random.Random(n)
     rows = [rng.getrandbits(n) for _ in range(k)]
-    with searching():
-        tracemalloc.start()
-        try:
-            d = gf2.min_weight(rows, n)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    tracemalloc.start()
+    try:
+        d = gf2.min_weight(rows, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     if k <= 20:
         assert d == least_weight(gf2.span_weight_histogram(rows, n))
     assert peak <= 4 * gf2._WALK_BUFFER_BYTES
