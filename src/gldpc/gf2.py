@@ -241,9 +241,17 @@ def _least_weight(hist: Sequence[int]) -> Union[int, float]:
     return next((w for w in range(1, len(hist)) if hist[w]), math.inf)
 
 
-def min_weight(basis: Sequence[int], n_cols: int) -> Union[int, float]:
+def min_weight(basis: Sequence[int], n_cols: int,
+               at_most: Optional[int] = None) -> Union[int, float]:
     """Least nonzero Hamming weight in the span of `basis` (math.inf if none), by
     the Brouwer–Zimmermann method (Zimmermann 1996; Grassl 2006).
+
+    With at_most, only whether that weight is <= at_most is decided: the result
+    is <= at_most exactly when some nonzero word weighs at_most or less (it is
+    then such a word's weight, not always the least), and is otherwise a lower
+    bound on the least weight. The search returns at the first word that light,
+    or once the bound below passes at_most, so at most at_most + 1 sets are
+    split: m sets alone prove a least weight of at least m.
 
     With m disjoint information sets, every message of weight w is sent through
     each set's systematic generator, for w = 1, 2, ...: its codeword weighs w on
@@ -260,12 +268,15 @@ def min_weight(basis: Sequence[int], n_cols: int) -> Union[int, float]:
     # times the word cost, weight 1 alone would cost more than the walk
     r = max(1, len(basis))
     max_sets = max(1, min(_WALK_BUFFER_BYTES // (r * max(1, n_cols)),
-                          (1 << r) // (r * _SEARCH_WORD_COST)))
+                          (1 << r) // (r * _SEARCH_WORD_COST),
+                          math.inf if at_most is None else at_most + 1))
     sets, gens = _information_sets(basis, n_cols, max_sets)
     if not sets:
         return math.inf
     stack = _outside_words(sets, gens, n_cols)
     (n_words, m, k), best, words = stack.shape, math.inf, 0
+    # a word of weight <= enough, or a lower bound above beyond, settles the query
+    enough, beyond = (0, math.inf) if at_most is None else (at_most, at_most)
     size = max(_WALK_BUFFER_BYTES // 8, m * n_words)
     cap = size // (m * n_words)
     xors, counts = np.empty(size, np.uint64), np.empty(size, np.uint8)
@@ -274,10 +285,10 @@ def min_weight(basis: Sequence[int], n_cols: int) -> Union[int, float]:
     low, high = (_Subsets(part, cap, cap // 2) for part in np.split(stack, [half], axis=2))
     for w in range(1, k + 1):
         # one set at a time once the bound may pass mid-weight, else all at once
-        group = 1 if best < m * (w + 1) else m
+        group = 1 if min(best, beyond + 1) < m * (w + 1) else m
         for j in range(0, m, group):
-            if best <= m * w + j:
-                return best
+            if best <= m * w + j or beyond < m * w + j:
+                return min(best, m * w + j)
             words += group * math.comb(k, w)
             if words * _SEARCH_WORD_COST > 1 << k:
                 return _least_weight(span_weight_histogram(gens[0], n_cols))
@@ -298,6 +309,8 @@ def min_weight(basis: Sequence[int], n_cols: int) -> Union[int, float]:
                                                   out=xors[:math.prod(shape)].reshape(shape))
                             ones = np.bitwise_count(both, out=counts[:both.size].reshape(shape))
                             best = min(best, w + int(ones.sum(0, dtype=weight_type).min()))
+                            if best <= enough:
+                                return best
     return best
 
 

@@ -128,6 +128,11 @@ class SampledCode:
         return image
 
 
+def _cn_rows(layout: CnLayout) -> np.ndarray:
+    """The number of parity rows of each CN, in CN order."""
+    return np.array([len(t.parity) for t in layout.types])[layout.cn_type]
+
+
 @functools.lru_cache(maxsize=8)
 def _socket_images(layout: CnLayout) -> np.ndarray:
     """A 64-bit linear image of each socket's column of the stacked matrix.
@@ -138,7 +143,7 @@ def _socket_images(layout: CnLayout) -> np.ndarray:
     over GF(2): a zero or repeated column has a zero or repeated image,
     while the converse fails only on a 64-bit collision.
     """
-    rows = np.array([len(t.parity) for t in layout.types])[layout.cn_type]
+    rows = _cn_rows(layout)
     words = np.frombuffer(np.random.default_rng(0).bytes(8 * int(rows.sum())), np.int64)
     first_row = np.cumsum(rows) - rows
     images = np.zeros(layout.starts[-1], np.int64)
@@ -207,27 +212,34 @@ def global_parity_rows(code: SampledCode) -> List[int]:
     return rows
 
 
-def min_distance(code: SampledCode) -> Union[int, float]:
+def min_distance(code: SampledCode, at_most: Optional[int] = None) -> Union[int, float]:
     """Exact minimum distance: the least nonzero weight of the null space, by
     `gf2.min_weight` (Brouwer–Zimmermann over disjoint information sets, which
     hands over to the full span walk once its cost would pass one walk's, so
     that a large span never takes much more than two walks' time).
 
-    Returns math.inf for the zero code; refuses (DimensionLimitError) when
-    the code dimension exceeds DEFAULT_K_LIMIT, before the null space is built.
+    With at_most, the search stops once d <= at_most is settled: the result
+    is <= at_most exactly when the minimum distance is (see `gf2.min_weight`).
+    Returns math.inf for the zero code. Refuses (DimensionLimitError) a code
+    dimension over DEFAULT_K_LIMIT: first from k >= n - (stacked rows), read
+    from the layout before any row is built (the error's dim is then that
+    lower bound), then from the rank, before the null space is built.
     """
+    k_least = code.n - int(_cn_rows(code.layout).sum())
+    if k_least > DEFAULT_K_LIMIT:
+        raise DimensionLimitError(k_least, DEFAULT_K_LIMIT, "codeword enumeration")
     return gf2.min_weight(gf2.nullspace_basis(code.parity_rows, code.n, DEFAULT_K_LIMIT),
-                          code.n)
+                          code.n, at_most)
 
 
 def has_weight_one_codeword(code: SampledCode) -> bool:
     """True iff some column of the stacked parity-check matrix is zero: its VN
     touches no CN, or every CN row sees it an even number of times.
+
+    Only the VNs whose column sketch is zero have their exact columns built,
+    so no parity row is built.
     """
-    covered = 0
-    for row in code.parity_rows:
-        covered |= row
-    return covered != (1 << code.n) - 1
+    return () in code.columns(_suspects(code.sketch, False))
 
 
 def wilson_interval(count: int, total: int) -> Tuple[float, float]:
@@ -250,9 +262,10 @@ class DminStats:
 
     count_le_threshold counts min distance <= floor(threshold_alpha * n). A
     threshold <= 2 is decided exactly from the parity-check columns whatever the
-    code dimension; above that, trials whose dimension exceeded the enumeration
-    limit are reported in count_k_over_limit and excluded from that fraction's
-    denominator.
+    code dimension. Above that, a trial with a weight-1 codeword counts as <=
+    the threshold; any other whose dimension exceeded the enumeration limit
+    (known from n minus its stacked rows, or else from the rank) is reported in
+    count_k_over_limit and excluded from that fraction's denominator.
     """
 
     trials: int
@@ -292,6 +305,11 @@ def _run_trial(code: SampledCode, threshold_d: int) -> Tuple[bool, Optional[bool
     column and a weight-2 one a repeated column, so no row is built or reduced.
     The column sketch clears most codes; otherwise only the VNs with a zero
     or shared image have their exact columns built and compared.
+
+    A larger threshold checks weight 1 the same way, then asks `min_distance`
+    whether d <= threshold, which refuses a code whose row count already puts
+    k over the limit before building any row, and stops its search as soon as
+    the answer is settled.
     """
     if threshold_d <= 2:
         image = code.sketch
@@ -306,7 +324,7 @@ def _run_trial(code: SampledCode, threshold_d: int) -> Tuple[bool, Optional[bool
     if one:
         return one, True
     try:
-        return one, min_distance(code) <= threshold_d
+        return one, min_distance(code, threshold_d) <= threshold_d
     except DimensionLimitError:
         return one, None
 

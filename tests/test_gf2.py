@@ -243,6 +243,34 @@ def test_min_weight_matches_gray_walk(mat):
     assert gf2.min_weight(rows, n) == least_weight(gray_span_weight_histogram(rows, n))
 
 
+@settings(max_examples=30, deadline=None)
+@given(spanning_rows())
+def test_bounded_min_weight_decides_the_threshold(mat):
+    rows, n = mat
+    d = least_weight(gray_span_weight_histogram(rows, n))
+    for at_most in range(n + 1):
+        assert (gf2.min_weight(rows, n, at_most) <= at_most) == (d <= at_most)
+
+
+@pytest.mark.parametrize("k,n", [(6, 140), (10, 100), (4, 129)])
+def test_bounded_min_weight_hands_over_to_the_walk(monkeypatch, k, n):
+    # few rows and many columns: an undecided query reaches the walk
+    walks, walk = [], gf2.span_weight_histogram
+
+    def spy(basis, n_cols):
+        walks.append(len(basis))
+        return walk(basis, n_cols)
+
+    monkeypatch.setattr(gf2, "span_weight_histogram", spy)
+    rng = random.Random(k * n)
+    for _ in range(3):
+        rows = [rng.getrandbits(n) for _ in range(k)]
+        d = least_weight(gray_span_weight_histogram(rows, n))
+        for at_most in range(n + 1):
+            assert (gf2.min_weight(rows, n, at_most) <= at_most) == (d <= at_most)
+    assert walks
+
+
 @pytest.mark.parametrize("n", [1, 5, 64, 140])
 def test_min_weight_of_no_and_one_row(n):
     rng = random.Random(n)

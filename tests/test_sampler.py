@@ -273,7 +273,8 @@ class TestMinDistance:
         assert err.value.dim > DEFAULT_K_LIMIT
 
     def test_refused_from_the_rank(self, gallager_3_6, monkeypatch):
-        # (3,6) at n=600 has k near 300: refused before any basis vector is built
+        # (3,6) at n=600 has k near 300: refused before any basis vector is built,
+        # with dim the bound n - rows, which is at most n - rank
         def no_back_substitution(*args):
             raise AssertionError("echelon_nullspace ran on a code over the cap")
 
@@ -281,8 +282,19 @@ class TestMinDistance:
         code = sample_any(gallager_3_6, 600, 3)
         with pytest.raises(DimensionLimitError) as err:
             min_distance(code)
-        assert err.value.dim == code.n - gf2.rank(code.parity_rows, code.n)
+        assert err.value.dim == code.n - len(global_parity_rows(code)) == 300
+        assert DEFAULT_K_LIMIT < err.value.dim <= code.n - gf2.rank(code.parity_rows, code.n)
         assert err.value.limit == DEFAULT_K_LIMIT
+
+    def test_refused_by_the_rank_within_the_row_bound(self, spc3_mixture):
+        # SPC-3, q = 2, n = 84: 56 rows leave k >= 28, the limit, but the two
+        # layers' rows each sum to the all-ones word, so the rank is below 56
+        spec = VnRegularEnsemble(mixture=spc3_mixture, q=2)
+        code = sample_any(spec, 84, 1)
+        assert code.n - len(code.parity_rows) == DEFAULT_K_LIMIT
+        with pytest.raises(DimensionLimitError) as err:
+            min_distance(code)
+        assert err.value.dim == code.n - gf2.rank(code.parity_rows, code.n) > DEFAULT_K_LIMIT
 
     def test_agrees_with_full_scan(self):
         rng = random.Random(7)
@@ -290,6 +302,34 @@ class TestMinDistance:
             spec, n = random_small_ensemble(rng)
             code = sample_any(spec, n, rng.randrange(2 ** 32))
             assert min_distance(code) == full_scan_min_distance(code)
+
+    def test_thresholds_above_two_agree_with_full_scan(self):
+        rng = random.Random(17)
+        for _ in range(40):
+            spec, n = random_small_ensemble(rng)
+            code = sample_any(spec, n, rng.randrange(2 ** 32))
+            dmin = full_scan_min_distance(code)
+            for d in range(3, n + 1):
+                assert _run_trial(code, d) == (dmin == 1, dmin <= d)
+
+    def test_bounded_query_splits_few_sets(self, monkeypatch):
+        # at most D: D + 1 disjoint information sets already prove d > D
+        spec = load_spec_file(spec_path("hamming7_q2.json")).vn_regular
+        split, information_sets = [], gf2._information_sets
+        monkeypatch.setattr(gf2, "_information_sets",
+                            lambda *args: split.append(len(information_sets(*args)[0]))
+                            or information_sets(*args))
+        bounded, trial = [], []
+        for i in range(4):
+            code = sample_any(spec, 140, _trial_seed(5, i))
+            d = min_distance(code)
+            assert (min_distance(code, 2) <= 2) == (d <= 2)
+            bounded.append(split.pop())
+            # a sample trial passes its threshold down
+            assert _run_trial(code, 3) == (False, d <= 3)
+            trial.append(split.pop())
+        assert max(bounded) <= 3 < max(split)
+        assert max(trial) <= 4
 
     def test_hamming7_draws_match_the_walk(self):
         # trials of the seed-5 golden record and on: k = 20, six or fewer sets
@@ -365,6 +405,10 @@ class TestWeightOne:
             code = sample_any(spec, n, rng.randrange(2 ** 32))
             one, dmin = has_weight_one_codeword(code), min_distance(code)
             assert one == (dmin == 1)
+            # a sketch that clears nothing leaves the exact columns to decide
+            blind = SampledCode(code.n, code.layout, code.sockets)
+            blind.__dict__["sketch"] = np.zeros(code.n, np.int64)
+            assert has_weight_one_codeword(blind) == one
             # thresholds <= 2 are read from the columns; dmin >= 1 makes le
             # False below 1
             for d in (-1, 0, 1, 2):
@@ -528,6 +572,18 @@ class TestStats:
             monkeypatch.setattr(owner, name, refuse)
         stats = estimate_dmin_stats(bound_mix_ensemble, 147, 200, 0.02, 2024)
         assert stats.threshold_d == 2 and stats.count_k_over_limit == 0
+
+    def test_over_limit_trial_builds_no_row(self, gallager_3_6, monkeypatch):
+        # (3,6) at n = 600 has 300 rows, so k >= 300: refused from the layout
+        import gldpc.sampler
+
+        def refuse(*args):
+            raise AssertionError("an over-limit trial built the rows or eliminated")
+
+        for owner, name in ((gldpc.sampler, "global_parity_rows"), (gf2, "row_reduce")):
+            monkeypatch.setattr(owner, name, refuse)
+        stats = estimate_dmin_stats(gallager_3_6, 600, 5, 0.0227, 1)
+        assert stats.threshold_d == 13 and stats.count_k_over_limit == 5
 
     def test_small_threshold_never_undecided(self, gallager_3_6):
         # k is about 60 > DEFAULT_K_LIMIT, but d = 2 is read from the columns
