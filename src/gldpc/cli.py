@@ -24,9 +24,9 @@ MAX_GRID_POINTS = 10_001
 #: Largest --j coef-convergence accepts; a row costs about j^2 log n bigint work (2-vCPU
 #: VM: 0.3 s at j = 100, n = 3e6; 4.3 s at j = 300, n = 3e5). A larger j exits 2.
 MAX_J = 100
-#: Largest sample --n; an elimination grows about as n^2.3 (2-vCPU VM, (3,6) rows:
-#: 0.07 s at n = 6000, 1.8 s and 102 MB peak at n = 30 000, 16 s at n = 60 000).
-#: A (3,6) trial no longer eliminates: a threshold >= 3 refuses it from its row count.
+#: Largest sample --n; a trial's column pass grows about as n^2.1 where k <= 28 (2-vCPU
+#: VM, SPC-3 q = 3, one row per column: 0.2 s at n = 6000, 5.5-6.3 s and 234 MB peak at
+#: n = 30 000, the edge cap). No (3,6) trial is reduced, at any threshold.
 MAX_N = 30_000
 #: Most sample --trials; the cheapest trial costs about 55 us and an A7-sized
 #: one (n = 147, read from the columns) about 0.07 ms (2-vCPU VM), so the cap is

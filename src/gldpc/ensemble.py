@@ -99,8 +99,7 @@ class CheckNodeType:
     @functools.cached_property
     def columns(self) -> Tuple[int, ...]:
         """Column p of the parity matrix as a bitmask over its rows, for each p < s."""
-        return tuple(sum(((row >> p) & 1) << i for i, row in enumerate(self.parity))
-                     for p in range(self.s))
+        return tuple(gf2.transpose(self.parity, self.s))
 
     @property
     def k(self) -> int:

@@ -1,8 +1,8 @@
 """GF(2) linear algebra on int bitsets (bit i of a row = column i).
 
-One XOR-basis elimination (`row_reduce`) gives echelon rows, rank and null space.
-`span_weight_histogram` walks a whole span; `min_weight` finds its least nonzero
-weight by enumerating light messages over disjoint information sets.
+`row_reduce` gives echelon rows and rank; `nullspace_basis`, the null space from one
+tagged pass over the columns. `span_weight_histogram` walks a whole span; `min_weight`
+finds its least nonzero weight from light messages over disjoint information sets.
 """
 
 from __future__ import annotations
@@ -63,32 +63,31 @@ def rank(rows: Sequence[int], n_cols: int) -> int:
     return len(row_reduce(rows, n_cols)[0])
 
 
-def echelon_nullspace(pivots: Sequence[int], echelon: Sequence[int],
-                      n_cols: int) -> List[int]:
-    """Null-space basis from `row_reduce` output: for each free column f, x_f = 1,
-    other free bits 0, and x_p = parity(row_p & x) for pivots p in ascending order.
+def nullspace_basis(columns: Sequence[int], max_dim: int) -> List[int]:
+    """Basis of the null space {x : the columns c with bit c of x set XOR to 0},
+    from the columns as ints over the rows; refuses a dimension n - rank > max_dim.
+
+    One XOR basis keyed by top bit, column by column, in which each stored
+    column carries a tag: the input columns it sums. A column that reduces to
+    0, being in the span of the earlier ones, leaves its tag as a basis
+    vector, so each vector holds exactly one such column: its own.
     """
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(n_cols):
-        if free in pivot_set:
-            continue
-        v = 1 << free
-        for p, row in zip(pivots, echelon):
-            if (row & v).bit_count() & 1:
-                v |= 1 << p
-        basis.append(v)
+    seen, basis = {}, []
+    for c, v in enumerate(columns):
+        tag = 1 << c
+        while v:
+            top = v.bit_length()
+            if top not in seen:
+                seen[top] = v, tag
+                break
+            w, t = seen[top]
+            v ^= w
+            tag ^= t
+        else:
+            basis.append(tag)
+    if len(basis) > max_dim:
+        raise DimensionLimitError(len(basis), max_dim, "codeword enumeration")
     return basis
-
-
-def nullspace_basis(rows: Sequence[int], n_cols: int, max_dim: int) -> List[int]:
-    """Basis of the right null space {v : row . v = 0 for all rows}; refuses a
-    dimension n_cols - rank above max_dim before building any basis vector."""
-    pivots, echelon = row_reduce(rows, n_cols)
-    k = n_cols - len(pivots)
-    if k > max_dim:
-        raise DimensionLimitError(k, max_dim, "codeword enumeration")
-    return echelon_nullspace(pivots, echelon, n_cols)
 
 
 def _low_rows(n_words: int) -> int:
@@ -126,6 +125,13 @@ def _bits(rows: Sequence[int], n_cols: int) -> np.ndarray:
                          bitorder="little")
 
 
+def transpose(rows: Sequence[int], n_cols: int) -> List[int]:
+    """Column c of `rows` as an int over the rows (bit i = row i), for each c < n_cols."""
+    size = -(-len(rows) // 8)
+    cols = np.packbits(_bits(rows, n_cols), axis=0, bitorder="little").T.tobytes()
+    return [int.from_bytes(cols[c * size:(c + 1) * size], "little") for c in range(n_cols)]
+
+
 def _information_sets(basis: Sequence[int], n_cols: int,
                       max_sets: int) -> Tuple[List[List[int]], List[List[int]]]:
     """(sets, generators): up to max_sets disjoint information sets of the span,
@@ -140,9 +146,7 @@ def _information_sets(basis: Sequence[int], n_cols: int,
     """
     if not any(basis):
         return [], []
-    cols = np.packbits(_bits(basis, n_cols), axis=0, bitorder="little").T.tobytes()
-    size = len(cols) // n_cols
-    col = [int.from_bytes(cols[c * size:(c + 1) * size], "little") for c in range(n_cols)]
+    col = transpose(basis, n_cols)
     left = sorted((c for c in range(n_cols) if col[c]),
                   key=lambda c: col[c] & (col[c] - 1) > 0)
     r, rows, sets, gens = len(basis), list(basis), [], []

@@ -153,7 +153,7 @@ def wef_from_parity_matrix(rows: Sequence[int], n_cols: int) -> Wef:
     if min(k, r) > ENUMERATION_LIMIT:
         raise DimensionLimitError(min(k, r), ENUMERATION_LIMIT, "null-space enumeration")
     if k <= r:
-        basis = gf2.echelon_nullspace(pivots, echelon, n_cols)
+        basis = gf2.nullspace_basis(gf2.transpose(echelon, n_cols), k)
         return Wef(gf2.span_weight_histogram(basis, n_cols))
     dual = Wef(gf2.span_weight_histogram(echelon, n_cols))
     return macwilliams(dual)

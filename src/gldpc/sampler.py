@@ -91,34 +91,27 @@ class SampledCode:
             return NotImplemented
         return (self.n, self.types, self.cns) == (other.n, other.types, other.cns)
 
-    @functools.cached_property
-    def parity_rows(self) -> Tuple[int, ...]:
-        """The stacked parity-check rows (`global_parity_rows`), built once."""
-        return tuple(global_parity_rows(self))
-
-    def columns(self, vns: Sequence[int]) -> List[Tuple[Tuple[int, int], ...]]:
+    def columns(self, vns: Sequence[int]) -> List[int]:
         """The given VNs' columns of the stacked parity-check matrix, exactly.
 
-        A column is the (CN, bits) pairs of the CNs whose rows it meets, in CN
-        order, where bits is the XOR of the VN's local columns in that CN (so a
-        VN seen twice on one SPC cancels, as over GF(2)); a zero column is the
-        empty tuple. Only the given VNs' own sockets are read.
+        A column is an int over the stacked rows (local row i of CN c is bit
+        `_row_starts(layout)[c] + i`): the XOR of the VN's sockets' local columns,
+        so a VN seen twice on one SPC cancels, as over GF(2). A zero column is
+        0, and equal columns are equal ints. Only the given VNs' sockets are read.
         """
         vns = np.asarray(vns, dtype=np.int64).tolist()
         wanted = np.zeros(self.n, bool)
         wanted[vns] = True
         socket = np.flatnonzero(wanted[self.sockets])
-        socket = socket[np.argsort(self.sockets[socket], kind="stable")]
         starts = self.layout.starts
         cn = np.searchsorted(starts, socket, "right") - 1
         local = [t.columns for t in self.types]
-        entries = {}
-        for v, c, t, p in zip(self.sockets[socket].tolist(), cn.tolist(),
-                              self.layout.cn_type[cn].tolist(), (socket - starts[cn]).tolist()):
-            col = entries.setdefault(v, {})
-            col[c] = col.get(c, 0) ^ local[t][p]
-        return [tuple((c, bits) for c, bits in entries.get(v, {}).items() if bits)
-                for v in vns]
+        cols = dict.fromkeys(vns, 0)
+        for v, t, p, row in zip(self.sockets[socket].tolist(), self.layout.cn_type[cn].tolist(),
+                                (socket - starts[cn]).tolist(),
+                                _row_starts(self.layout)[cn].tolist()):
+            cols[v] ^= local[t][p] << row
+        return [cols[v] for v in vns]
 
     @functools.cached_property
     def sketch(self) -> np.ndarray:
@@ -128,9 +121,11 @@ class SampledCode:
         return image
 
 
-def _cn_rows(layout: CnLayout) -> np.ndarray:
-    """The number of parity rows of each CN, in CN order."""
-    return np.array([len(t.parity) for t in layout.types])[layout.cn_type]
+@functools.lru_cache(maxsize=8)
+def _row_starts(layout: CnLayout) -> np.ndarray:
+    """Each CN's first row in the stacked matrix, then the row count (`starts` for rows)."""
+    rows = np.array([len(t.parity) for t in layout.types])[layout.cn_type]
+    return np.concatenate(([0], np.cumsum(rows)))
 
 
 @functools.lru_cache(maxsize=8)
@@ -143,9 +138,8 @@ def _socket_images(layout: CnLayout) -> np.ndarray:
     over GF(2): a zero or repeated column has a zero or repeated image,
     while the converse fails only on a 64-bit collision.
     """
-    rows = _cn_rows(layout)
-    words = np.frombuffer(np.random.default_rng(0).bytes(8 * int(rows.sum())), np.int64)
-    first_row = np.cumsum(rows) - rows
+    first_row = _row_starts(layout)
+    words = np.frombuffer(np.random.default_rng(0).bytes(8 * int(first_row[-1])), np.int64)
     images = np.zeros(layout.starts[-1], np.int64)
     for t, ctype in enumerate(layout.types):
         cns = np.flatnonzero(layout.cn_type == t)
@@ -222,14 +216,15 @@ def min_distance(code: SampledCode, at_most: Optional[int] = None) -> Union[int,
     is <= at_most exactly when the minimum distance is (see `gf2.min_weight`).
     Returns math.inf for the zero code. Refuses (DimensionLimitError) a code
     dimension over DEFAULT_K_LIMIT: first from k >= n - (stacked rows), read
-    from the layout before any row is built (the error's dim is then that
-    lower bound), then from the rank, before the null space is built.
+    from the layout before any column is built (the error's dim is then that
+    lower bound), then from the rank of the n exact columns, which one pass
+    of `gf2.nullspace_basis` reduces to the null space; no row is built.
     """
-    k_least = code.n - int(_cn_rows(code.layout).sum())
+    k_least = code.n - int(_row_starts(code.layout)[-1])
     if k_least > DEFAULT_K_LIMIT:
         raise DimensionLimitError(k_least, DEFAULT_K_LIMIT, "codeword enumeration")
-    return gf2.min_weight(gf2.nullspace_basis(code.parity_rows, code.n, DEFAULT_K_LIMIT),
-                          code.n, at_most)
+    basis = gf2.nullspace_basis(code.columns(range(code.n)), DEFAULT_K_LIMIT)
+    return gf2.min_weight(basis, code.n, at_most)
 
 
 def has_weight_one_codeword(code: SampledCode) -> bool:
@@ -239,7 +234,7 @@ def has_weight_one_codeword(code: SampledCode) -> bool:
     Only the VNs whose column sketch is zero have their exact columns built,
     so no parity row is built.
     """
-    return () in code.columns(_suspects(code.sketch, False))
+    return 0 in code.columns(_suspects(code.sketch, False))
 
 
 def wilson_interval(count: int, total: int) -> Tuple[float, float]:
@@ -308,15 +303,15 @@ def _run_trial(code: SampledCode, threshold_d: int) -> Tuple[bool, Optional[bool
 
     A larger threshold checks weight 1 the same way, then asks `min_distance`
     whether d <= threshold, which refuses a code whose row count already puts
-    k over the limit before building any row, and stops its search as soon as
-    the answer is settled.
+    k over the limit before building any column, and stops its search as soon
+    as the answer is settled.
     """
     if threshold_d <= 2:
         image = code.sketch
         if image.all() and (threshold_d < 2 or not _has_repeat(image)):
             return False, False
         cols = code.columns(_suspects(image, threshold_d == 2))
-        one = () in cols
+        one = 0 in cols
         if threshold_d < 1:
             return one, False
         return one, one or (threshold_d == 2 and len(set(cols)) < len(cols))

@@ -47,6 +47,11 @@ def span(rows):
     return words
 
 
+def transposed(rows, n, cols):
+    """The given columns of `rows`, each as a bitmask over the rows."""
+    return [sum(((row >> c) & 1) << i for i, row in enumerate(rows)) for c in cols]
+
+
 def numpy_rank(rows, n):
     """Column-scanning Gaussian elimination over a 0/1 array."""
     m = np.array([[(r >> c) & 1 for c in range(n)] for r in rows], dtype=np.uint8)
@@ -85,24 +90,53 @@ def test_row_reduce_is_an_echelon_basis(mat):
     assert span(echelon) == span(rows)
 
 
+@st.composite
+def column_matrices(draw):
+    """(columns, m): 1-10 columns over m rows, fewer or more rows than columns;
+    a column may be zero, repeat an earlier one or be the XOR of two."""
+    m = draw(st.integers(0, 12))
+    cols = []
+    for _ in range(draw(st.integers(1, 10))):
+        pick = st.sampled_from(cols) if cols else st.nothing()
+        cols.append(draw(st.one_of(st.integers(0, (1 << m) - 1), st.just(0), pick,
+                                   st.tuples(pick, pick).map(lambda ab: ab[0] ^ ab[1]))))
+    return cols, m
+
+
 @settings(max_examples=300, deadline=None)
-@given(matrices())
-def test_nullspace_basis_is_complete(mat):
-    rows, n = mat
-    basis = gf2.nullspace_basis(rows, n, n)
-    assert len(basis) == n - gf2.rank(rows, n)
-    assert all(dot_parity(r, v) == 0 for r in rows for v in basis)
-    assert len(span(basis)) == 1 << len(basis)
+@given(column_matrices())
+def test_nullspace_basis_from_columns(mat):
+    cols, m = mat
+    n, rows = len(cols), transposed(cols, m, range(m))
+    k = n - gf2.rank(rows, n)
+    basis = gf2.nullspace_basis(cols, n)
+    assert len(basis) == k
+    for v in basis:
+        word = 0
+        for c in range(n):
+            word ^= cols[c] if v >> c & 1 else 0
+        assert v and word == 0
+    assert len(span(basis)) == 1 << k
+    # the columns that reduce to 0 are those in the span of the earlier columns;
+    # each basis vector holds exactly one of them
+    zeroed = sum(1 << c for c in range(n) if cols[c] in span(cols[:c]))
+    assert zeroed.bit_count() == k
+    assert all((v & zeroed).bit_count() == 1 for v in basis)
+    if k:
+        with pytest.raises(gf2.DimensionLimitError) as err:
+            gf2.nullspace_basis(cols, k - 1)
+        assert (err.value.dim, err.value.limit) == (k, k - 1)
 
 
 @settings(max_examples=100, deadline=None)
 @given(matrices())
 def test_nullspace_dimension_cap_is_inclusive(mat):
     rows, n = mat
+    cols = transposed(rows, n, range(n))
     k = n - gf2.rank(rows, n)
-    assert len(gf2.nullspace_basis(rows, n, k)) == k
+    assert len(gf2.nullspace_basis(cols, k)) == k
     with pytest.raises(gf2.DimensionLimitError) as err:
-        gf2.nullspace_basis(rows, n, k - 1)
+        gf2.nullspace_basis(cols, k - 1)
     assert (err.value.dim, err.value.limit) == (k, k - 1)
 
 
@@ -137,7 +171,7 @@ def test_rank_of_sampled_stacked_matrices(kind, seed):
     rows, n = _stacked(kind, seed)
     r = gf2.rank(rows, n)
     assert r == numpy_rank(rows, n)
-    basis = gf2.nullspace_basis(rows, n, n)
+    basis = gf2.nullspace_basis(transposed(rows, n, range(n)), n)
     assert len(basis) == n - r
     assert all(dot_parity(row, v) == 0 for row in rows for v in basis)
 
@@ -194,7 +228,7 @@ def test_span_histogram_matches_gray_walk(mat):
 def test_min_distance_matches_gray_walk(mat):
     # a code whose null space is the span of `rows`
     rows, n = mat
-    parity = gf2.nullspace_basis(rows, n, n)
+    parity = gf2.nullspace_basis(transposed(rows, n, range(n)), n)
     code = code_from_rows(parity, n)
     assert global_parity_rows(code) == parity
     hist = gray_span_weight_histogram(rows, n)
@@ -225,11 +259,6 @@ def test_span_walk_memory_within_budget(k, n):
         tracemalloc.stop()
     assert hist == gray_span_weight_histogram(rows, n)
     assert peak <= 2 * gf2._WALK_BUFFER_BYTES
-
-
-def transposed(rows, n, cols):
-    """The given columns of `rows`, each as a bitmask over the rows."""
-    return [sum(((row >> c) & 1) << i for i, row in enumerate(rows)) for c in cols]
 
 
 def least_weight(hist):

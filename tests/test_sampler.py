@@ -85,34 +85,20 @@ def full_scan_min_distance(code):
 
 def walk_min_distance(code):
     """Oracle: least nonzero weight of the span walk's histogram."""
-    basis = gf2.nullspace_basis(code.parity_rows, code.n, DEFAULT_K_LIMIT)
+    basis = gf2.nullspace_basis(code.columns(range(code.n)), DEFAULT_K_LIMIT)
     hist = gf2.span_weight_histogram(basis, code.n)
     return next((w for w in range(1, code.n + 1) if hist[w]), math.inf)
 
 
 def transposed(rows, n):
-    """Column v of the stacked rows as a bitmask over them, for each v < n."""
-    return tuple(sum(((row >> v) & 1) << i for i, row in enumerate(rows)) for v in range(n))
-
-
-def columns_from_rows(code, rows):
-    """Each VN's column in the form of `SampledCode.columns`, read off the
-    stacked rows: its nonzero (CN, bits over that CN's rows) pairs."""
-    cols, first = transposed(rows, code.n), 0
-    out = [[] for _ in range(code.n)]
-    for c, (t, _) in enumerate(code.cns):
-        k = len(code.types[t].parity)
-        for v in range(code.n):
-            bits = (cols[v] >> first) & ((1 << k) - 1)
-            if bits:
-                out[v].append((c, bits))
-        first += k
-    return [tuple(col) for col in out]
+    """Column v of the stacked rows as a bitmask over them, for each v < n: the
+    form of `SampledCode.columns`."""
+    return [sum(((row >> v) & 1) << i for i, row in enumerate(rows)) for v in range(n)]
 
 
 def check_columns(code):
     """The exact columns are the stacked rows, transposed."""
-    assert code.columns(range(code.n)) == columns_from_rows(code, global_parity_rows(code))
+    assert code.columns(range(code.n)) == transposed(global_parity_rows(code), code.n)
 
 
 class TestVnRegularSampling:
@@ -235,7 +221,7 @@ class TestCodewordChecks:
             code = sample_any(spec, n, rng.randrange(2 ** 32))
             rows = global_parity_rows(code)
             # the columns are the same matrix, transposed
-            assert code.columns(range(n)) == columns_from_rows(code, rows)
+            assert code.columns(range(n)) == transposed(rows, n)
             for _ in range(10):
                 v = rng.randrange(1 << n)
                 local = is_codeword(code, v)
@@ -272,18 +258,15 @@ class TestMinDistance:
             min_distance(code)
         assert err.value.dim > DEFAULT_K_LIMIT
 
-    def test_refused_from_the_rank(self, gallager_3_6, monkeypatch):
-        # (3,6) at n=600 has k near 300: refused before any basis vector is built,
-        # with dim the bound n - rows, which is at most n - rank
-        def no_back_substitution(*args):
-            raise AssertionError("echelon_nullspace ran on a code over the cap")
-
-        monkeypatch.setattr(gf2, "echelon_nullspace", no_back_substitution)
+    def test_refused_from_the_rank(self, gallager_3_6):
+        # (3,6) at n=600 has k near 300: refused with dim the bound n - rows,
+        # which is at most n - rank
         code = sample_any(gallager_3_6, 600, 3)
+        rows = global_parity_rows(code)
         with pytest.raises(DimensionLimitError) as err:
             min_distance(code)
-        assert err.value.dim == code.n - len(global_parity_rows(code)) == 300
-        assert DEFAULT_K_LIMIT < err.value.dim <= code.n - gf2.rank(code.parity_rows, code.n)
+        assert err.value.dim == code.n - len(rows) == 300
+        assert DEFAULT_K_LIMIT < err.value.dim <= code.n - gf2.rank(rows, code.n)
         assert err.value.limit == DEFAULT_K_LIMIT
 
     def test_refused_by_the_rank_within_the_row_bound(self, spc3_mixture):
@@ -291,10 +274,11 @@ class TestMinDistance:
         # layers' rows each sum to the all-ones word, so the rank is below 56
         spec = VnRegularEnsemble(mixture=spc3_mixture, q=2)
         code = sample_any(spec, 84, 1)
-        assert code.n - len(code.parity_rows) == DEFAULT_K_LIMIT
+        rows = global_parity_rows(code)
+        assert code.n - len(rows) == DEFAULT_K_LIMIT
         with pytest.raises(DimensionLimitError) as err:
             min_distance(code)
-        assert err.value.dim == code.n - gf2.rank(code.parity_rows, code.n) > DEFAULT_K_LIMIT
+        assert err.value.dim == code.n - gf2.rank(rows, code.n) > DEFAULT_K_LIMIT
 
     def test_agrees_with_full_scan(self):
         rng = random.Random(7)
@@ -337,7 +321,7 @@ class TestMinDistance:
         dists = []
         for i in range(40):
             code = sample_any(spec, 140, _trial_seed(5, i))
-            basis = gf2.nullspace_basis(code.parity_rows, code.n, DEFAULT_K_LIMIT)
+            basis = gf2.nullspace_basis(code.columns(range(code.n)), DEFAULT_K_LIMIT)
             assert len(basis) == 20
             dists.append(min_distance(code))
             assert dists[-1] == walk_min_distance(code)
@@ -359,7 +343,7 @@ class TestMinDistance:
         # k = 28: the walk takes 2^28 words, the search those of weights 1 and 2
         spec = load_spec_file(spec_path("hamming15_q2.json")).vn_regular
         code = sample_any(spec, 60, _trial_seed(1, 0))
-        basis = gf2.nullspace_basis(code.parity_rows, code.n, DEFAULT_K_LIMIT)
+        basis = gf2.nullspace_basis(code.columns(range(code.n)), DEFAULT_K_LIMIT)
         assert len(basis) == DEFAULT_K_LIMIT == 28
         assert min_distance(code) == walk_min_distance(code) == 3
 
@@ -367,7 +351,6 @@ class TestMinDistance:
         spec = load_spec_file(spec_path("hamming15_q2.json")).vn_regular
         for i in range(4):
             code = sample_any(spec, 60, _trial_seed(1, i))
-            code.parity_rows
             tracemalloc.start()
             try:
                 d = min_distance(code)
@@ -501,7 +484,7 @@ class TestColumnTest:
             # on SPC-3 each local column is 1, so the big VN's column holds
             # the CNs that see it an odd number of times
             seen = np.bincount(np.flatnonzero(code.sockets == 2700) // 3, minlength=3000)
-            assert code.columns([2700]) == [tuple((c, 1) for c in np.flatnonzero(seen % 2).tolist())]
+            assert code.columns([2700]) == [sum(1 << c for c in np.flatnonzero(seen % 2).tolist())]
 
     def test_sketch_separates_exactly_the_distinct_columns(self):
         # a linear image: equal columns, and zero ones, have equal (zero)
@@ -548,18 +531,22 @@ class TestStats:
         lo, hi = stats.wilson_ci_eq_one
         assert lo <= target <= hi
 
-    def test_parity_rows_built_once_per_trial(self, ham7, monkeypatch):
+    def test_decided_trial_reduces_its_columns_once(self, ham7, monkeypatch):
         import gldpc.sampler
 
-        built = []
-        build = gldpc.sampler.global_parity_rows
-        monkeypatch.setattr(gldpc.sampler, "global_parity_rows",
-                            lambda code: built.append(code) or build(code))
+        def refuse(*args):
+            raise AssertionError("a trial built the rows or eliminated them")
+
+        for owner, name in ((gldpc.sampler, "global_parity_rows"), (gf2, "row_reduce")):
+            monkeypatch.setattr(owner, name, refuse)
+        reduced, reduce = [], gf2.nullspace_basis
+        monkeypatch.setattr(gf2, "nullspace_basis",
+                            lambda cols, k: reduced.append(len(cols)) or reduce(cols, k))
         spec = VnRegularEnsemble(mixture=CnMixture.of([ham7], [1]), q=2)
         stats = estimate_dmin_stats(spec, 14, 6, 0.5, 11)
         # no weight-1 word and nothing over the limit: every trial reached min_distance
         assert stats.count_eq_one == 0 and stats.count_k_over_limit == 0
-        assert len(built) == 6
+        assert reduced == [14] * 6
 
     def test_small_threshold_does_no_elimination(self, bound_mix_ensemble, monkeypatch):
         import gldpc.sampler
@@ -568,7 +555,8 @@ class TestStats:
             raise AssertionError("a threshold <= 2 built the rows or eliminated")
 
         for owner, name in ((gldpc.sampler, "global_parity_rows"),
-                            (gldpc.sampler, "min_distance"), (gf2, "row_reduce")):
+                            (gldpc.sampler, "min_distance"), (gf2, "row_reduce"),
+                            (gf2, "nullspace_basis")):
             monkeypatch.setattr(owner, name, refuse)
         stats = estimate_dmin_stats(bound_mix_ensemble, 147, 200, 0.02, 2024)
         assert stats.threshold_d == 2 and stats.count_k_over_limit == 0
@@ -580,7 +568,8 @@ class TestStats:
         def refuse(*args):
             raise AssertionError("an over-limit trial built the rows or eliminated")
 
-        for owner, name in ((gldpc.sampler, "global_parity_rows"), (gf2, "row_reduce")):
+        for owner, name in ((gldpc.sampler, "global_parity_rows"), (gf2, "row_reduce"),
+                            (gf2, "nullspace_basis")):
             monkeypatch.setattr(owner, name, refuse)
         stats = estimate_dmin_stats(gallager_3_6, 600, 5, 0.0227, 1)
         assert stats.threshold_d == 13 and stats.count_k_over_limit == 5
