@@ -259,7 +259,7 @@ class DminStats:
     threshold <= 2 is decided exactly from the parity-check columns whatever the
     code dimension. Above that, a trial with a weight-1 codeword counts as <=
     the threshold; any other whose dimension exceeded the enumeration limit
-    (known from n minus its stacked rows, or else from the rank) is reported in
+    (from n minus its stacked rows, or else from the rank of its columns) is in
     count_k_over_limit and excluded from that fraction's denominator.
     """
 
