@@ -25,8 +25,8 @@ MAX_GRID_POINTS = 10_001
 #: VM: 0.3 s at j = 100, n = 3e6; 4.3 s at j = 300, n = 3e5). A larger j exits 2.
 MAX_J = 100
 #: Largest sample --n; a trial's column pass grows about as n^2.1 where k <= 28 (2-vCPU
-#: VM, SPC-3 q = 3, one row per column: 0.2 s at n = 6000, 5.5-6.3 s and 234 MB peak at
-#: n = 30 000, the edge cap). No (3,6) trial is reduced, at any threshold.
+#: VM, SPC-3 q = 3, one row per column: 0.1-0.2 s at n = 6000, 5.5-6.9 s and 180 MB peak
+#: at n = 30 000, the edge cap). No (3,6) trial is reduced, at any threshold.
 MAX_N = 30_000
 #: Most sample --trials; the cheapest trial costs about 55 us and an A7-sized
 #: one (n = 147, read from the columns) about 0.07 ms (2-vCPU VM), so the cap is

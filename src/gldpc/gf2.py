@@ -1,13 +1,17 @@
 """GF(2) linear algebra on int bitsets (bit i of a row = column i).
 
-`row_reduce` gives echelon rows and rank; `nullspace_basis`, the null space from one
-tagged pass over the columns. `span_weight_histogram` walks a whole span; `min_weight`
-finds its least nonzero weight from light messages over disjoint information sets.
+One tagged XOR basis serves both eliminations: `row_reduce` (and so `rank`) reads its
+stored vectors as echelon rows, and `nullspace_basis` the tags of the columns that
+reduce to 0. `span_weight_histogram` walks a whole span; `min_weight` finds its least
+nonzero weight from light messages over disjoint information sets, each split off by
+one Gauss–Jordan pass.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -40,51 +44,57 @@ def parse_bits(bits: str) -> int:
     return mask
 
 
-def row_reduce(rows: Sequence[int], n_cols: int) -> Tuple[List[int], List[int]]:
-    """Echelon form by XOR basis: (pivot columns ascending, one row per pivot).
+def _xor_basis(vectors: Iterable[int]) -> Tuple[Dict[int, Tuple[int, int]], List[int]]:
+    """(stored, zeros): an XOR basis of the vectors keyed by bit length, and the
+    tags of the vectors that reduce to 0.
 
-    Each row is XORed with the basis row of its top set bit until that bit is
-    new; the row for pivot p has top bit p and may keep lower pivot bits.
+    Each vector is XORed with the stored vector of its bit length until that
+    length is new, and is then stored there; its tag (bit i for input i) XORs
+    along, so a stored vector's tag is the inputs it sums. A vector that
+    reduces to 0 is in the span of the earlier ones: its tag is a dependency,
+    and holds exactly one such vector, its own. Each input is read once and
+    not kept, so an iterator that drops its items frees them as it goes.
     """
-    basis: Dict[int, int] = {}
-    for r in rows:
-        while r:
-            top = r.bit_length() - 1
-            b = basis.get(top)
-            if b is None:
-                basis[top] = r
-                break
-            r ^= b
-    pivots = sorted(basis)
-    return pivots, [basis[p] for p in pivots]
-
-
-def rank(rows: Sequence[int], n_cols: int) -> int:
-    return len(row_reduce(rows, n_cols)[0])
-
-
-def nullspace_basis(columns: Sequence[int], max_dim: int) -> List[int]:
-    """Basis of the null space {x : the columns c with bit c of x set XOR to 0},
-    from the columns as ints over the rows; refuses a dimension n - rank > max_dim.
-
-    One XOR basis keyed by top bit, column by column, in which each stored
-    column carries a tag: the input columns it sums. A column that reduces to
-    0, being in the span of the earlier ones, leaves its tag as a basis
-    vector, so each vector holds exactly one such column: its own.
-    """
-    seen, basis = {}, []
-    for c, v in enumerate(columns):
-        tag = 1 << c
+    stored: Dict[int, Tuple[int, int]] = {}
+    zeros = []
+    for i, v in enumerate(vectors):
+        tag = 1 << i
         while v:
             top = v.bit_length()
-            if top not in seen:
-                seen[top] = v, tag
+            if top not in stored:
+                stored[top] = v, tag
                 break
-            w, t = seen[top]
+            w, t = stored[top]
             v ^= w
             tag ^= t
         else:
-            basis.append(tag)
+            zeros.append(tag)
+    return stored, zeros
+
+
+def row_reduce(rows: Iterable[int], n_cols: int) -> Tuple[List[int], List[int]]:
+    """Echelon form by XOR basis: (pivot columns ascending, one row per pivot).
+
+    The row for pivot p is the stored vector of bit length p + 1 (see
+    `_xor_basis`): its top bit is p, and it may keep lower pivot bits.
+    """
+    stored = _xor_basis(rows)[0]
+    tops = sorted(stored)
+    return [top - 1 for top in tops], [stored[top][0] for top in tops]
+
+
+def rank(rows: Iterable[int], n_cols: int) -> int:
+    return len(row_reduce(rows, n_cols)[0])
+
+
+def nullspace_basis(columns: Iterable[int], max_dim: int) -> List[int]:
+    """Basis of the null space {x : the columns c with bit c of x set XOR to 0},
+    from the columns as ints over the rows; refuses a dimension n - rank > max_dim.
+
+    The basis is the tags of the columns that reduce to 0 in `_xor_basis`, so
+    each vector's top bit is its own such column, which no other vector has.
+    """
+    basis = _xor_basis(columns)[1]
     if len(basis) > max_dim:
         raise DimensionLimitError(len(basis), max_dim, "codeword enumeration")
     return basis
@@ -138,52 +148,30 @@ def _information_sets(basis: Sequence[int], n_cols: int,
     split off greedily, and the basis made systematic on each (row i is the only
     row with a one in column sets[j][i]).
 
-    A column, as an int over the basis rows, joins the current set when it is
-    independent of the set's columns so far (an XOR basis keyed by top bit); the
-    first set's size is the rank. Weight-1 columns go first, so a basis already
-    systematic on some columns keeps them as its first set. Splitting stops at
-    the first set short of the rank.
+    Each set is one Gauss–Jordan pass, row by row: a row's pivot is its highest
+    one in a column no earlier set took, and that column's ones in the other
+    rows are cleared. A row with no such one is, on those columns, a sum of the
+    rows before it: the first pass drops it, so its size is the rank, and a
+    later pass ends the splitting. The first pass so takes each row's top bit, and a
+    `nullspace_basis` output, whose top bits are each in one vector only, keeps
+    them as its first set with its rows unchanged.
     """
-    if not any(basis):
-        return [], []
-    col = transpose(basis, n_cols)
-    left = sorted((c for c in range(n_cols) if col[c]),
-                  key=lambda c: col[c] & (col[c] - 1) > 0)
-    r, rows, sets, gens = len(basis), list(basis), [], []
-    while not sets or len(sets) < max_sets and len(left) >= r:
-        chosen, rest, seen = [], [], {}
-        for i, c in enumerate(left):
-            v = col[c]
-            top = v.bit_length()
-            while top in seen:
-                v ^= seen[top]
-                top = v.bit_length()
-            if v:
-                seen[top] = v
-                chosen.append(c)
-                if len(chosen) == r:
-                    rest += left[i + 1:]
-                    break
-            else:
-                rest.append(c)
-        if sets and len(chosen) < r:
-            break
-        if not sets and all(col[c] & (col[c] - 1) == 0 for c in chosen):
-            # one unit column per basis row: already systematic
-            rows = [rows[col[c].bit_length() - 1] for c in chosen]
-        else:
-            for i, c in enumerate(chosen):
-                bit, p = 1 << c, i
-                while not rows[p] & bit:
-                    p += 1
-                pivot = rows[p]
-                rows[p] = rows[i]
+    rows, sets, gens = list(basis), [], []
+    left = functools.reduce(operator.or_, rows, 0)
+    while left and len(sets) < max_sets:
+        pivots = {}
+        for p in range(len(rows)):
+            c = (rows[p] & left).bit_length() - 1
+            if c >= 0:
+                bit, pivot = 1 << c, rows[p]
                 rows = [x ^ pivot if x & bit else x for x in rows]
-                rows[i] = pivot
-        r = len(chosen)
-        sets.append(chosen)
-        gens.append(rows[:r])
-        left = rest
+                pivots[c], rows[p] = p, pivot
+        if sets and len(pivots) < len(rows):
+            break
+        rows = [rows[p] for p in pivots.values()]
+        sets.append(list(pivots))
+        gens.append(rows)
+        left &= ~sum(1 << c for c in pivots)
     return sets, gens
 
 

@@ -100,6 +100,8 @@ class SampledCode:
         0, and equal columns are equal ints. Only the given VNs' sockets are read.
         """
         vns = np.asarray(vns, dtype=np.int64).tolist()
+        if not vns:
+            return []
         wanted = np.zeros(self.n, bool)
         wanted[vns] = True
         socket = np.flatnonzero(wanted[self.sockets])
@@ -218,12 +220,14 @@ def min_distance(code: SampledCode, at_most: Optional[int] = None) -> Union[int,
     dimension over DEFAULT_K_LIMIT: first from k >= n - (stacked rows), read
     from the layout before any column is built (the error's dim is then that
     lower bound), then from the rank of the n exact columns, which one pass
-    of `gf2.nullspace_basis` reduces to the null space; no row is built.
+    of `gf2.nullspace_basis` reduces to the null space; no row is built. The
+    pass pops the columns as it reads them, so none outlives its reduction.
     """
     k_least = code.n - int(_row_starts(code.layout)[-1])
     if k_least > DEFAULT_K_LIMIT:
         raise DimensionLimitError(k_least, DEFAULT_K_LIMIT, "codeword enumeration")
-    basis = gf2.nullspace_basis(code.columns(range(code.n)), DEFAULT_K_LIMIT)
+    cols = code.columns(range(code.n - 1, -1, -1))
+    basis = gf2.nullspace_basis((cols.pop() for _ in range(code.n)), DEFAULT_K_LIMIT)
     return gf2.min_weight(basis, code.n, at_most)
 
 
@@ -275,49 +279,35 @@ class DminStats:
     seed: int
 
 
-def _has_repeat(values: np.ndarray) -> bool:
-    ordered = np.sort(values)
-    return bool((ordered[1:] == ordered[:-1]).any())
-
-
 def _suspects(image: np.ndarray, shared: bool) -> np.ndarray:
     """The VNs whose image is zero or, if shared, equal to another VN's: by
     linearity, every VN with a zero or repeated column is among them."""
     flagged = image == 0
     if shared:
-        order = np.argsort(image, kind="stable")
-        ordered = image[order]
-        same = ordered[1:] == ordered[:-1]
-        flagged[order[1:][same]] = True
-        flagged[order[:-1][same]] = True
+        ordered = np.sort(image)
+        repeats = ordered[1:][ordered[1:] == ordered[:-1]]
+        if repeats.size:
+            flagged |= np.isin(image, repeats)
     return np.flatnonzero(flagged)
 
 
 def _run_trial(code: SampledCode, threshold_d: int) -> Tuple[bool, Optional[bool]]:
     """(weight-1 found, min distance <= threshold or None if over limit).
 
-    A threshold <= 2 is read from the columns: a weight-1 codeword is a zero
-    column and a weight-2 one a repeated column, so no row is built or reduced.
-    The column sketch clears most codes; otherwise only the VNs with a zero
-    or shared image have their exact columns built and compared.
+    Weight 1, and a threshold <= 2, are read from the columns: a weight-1
+    codeword is a zero column and a weight-2 one a repeated column. The column
+    sketch clears most codes; only the VNs with a zero image (or, at threshold
+    2, a shared one) have their exact columns built and compared, once.
 
-    A larger threshold checks weight 1 the same way, then asks `min_distance`
-    whether d <= threshold, which refuses a code whose row count already puts
-    k over the limit before building any column, and stops its search as soon
-    as the answer is settled.
+    A larger threshold without a weight-1 hit then asks `min_distance` whether
+    d <= threshold, which refuses a code whose row count already puts k over
+    the limit before building any column, and stops its search as soon as the
+    answer is settled.
     """
-    if threshold_d <= 2:
-        image = code.sketch
-        if image.all() and (threshold_d < 2 or not _has_repeat(image)):
-            return False, False
-        cols = code.columns(_suspects(image, threshold_d == 2))
-        one = 0 in cols
-        if threshold_d < 1:
-            return one, False
-        return one, one or (threshold_d == 2 and len(set(cols)) < len(cols))
-    one = has_weight_one_codeword(code)
-    if one:
-        return one, True
+    cols = code.columns(_suspects(code.sketch, threshold_d == 2))
+    one = 0 in cols
+    if threshold_d <= 2 or one:
+        return one, threshold_d >= 1 and one or threshold_d == 2 and len(set(cols)) < len(cols)
     try:
         return one, min_distance(code, threshold_d) <= threshold_d
     except DimensionLimitError:

@@ -128,6 +128,34 @@ def test_nullspace_basis_from_columns(mat):
         assert (err.value.dim, err.value.limit) == (k, k - 1)
 
 
+@settings(max_examples=300, deadline=None)
+@given(matrices(), st.integers(1, 6))
+def test_information_sets_are_disjoint_and_systematic(mat, max_sets):
+    rows, n = mat
+    r = gf2.rank(rows, n)
+    sets, gens = gf2._information_sets(rows, n, max_sets)
+    assert len(sets) == len(gens) <= max_sets
+    if not r:
+        assert sets == []
+        return
+    assert sets and len(sets[0]) == r
+    taken = [c for s in sets for c in s]
+    assert len(taken) == len(set(taken)) and all(0 <= c < n for c in taken)
+    for s, g in zip(sets, gens):
+        # row i is the only row with a one in column s[i]
+        assert len(g) == r and transposed(g, n, s) == [1 << i for i in range(r)]
+        assert span(g) == span(rows)
+    if len(sets) < max_sets:
+        # splitting stopped because the columns left over hold no further set
+        unused = sorted(set(range(n)).difference(*sets))
+        assert gf2.rank(transposed(rows, n, unused), len(rows)) < r
+    # a null-space basis is systematic on its top bits and keeps them as set 1
+    basis = gf2.nullspace_basis(transposed(rows, n, range(n)), n)
+    if basis:
+        sets, gens = gf2._information_sets(basis, n, max_sets)
+        assert sets[0] == [v.bit_length() - 1 for v in basis] and gens[0] == basis
+
+
 @settings(max_examples=100, deadline=None)
 @given(matrices())
 def test_nullspace_dimension_cap_is_inclusive(mat):

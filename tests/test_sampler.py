@@ -392,10 +392,11 @@ class TestWeightOne:
             blind = SampledCode(code.n, code.layout, code.sockets)
             blind.__dict__["sketch"] = np.zeros(code.n, np.int64)
             assert has_weight_one_codeword(blind) == one
-            # thresholds <= 2 are read from the columns; dmin >= 1 makes le
-            # False below 1
-            for d in (-1, 0, 1, 2):
+            # weight 1 and thresholds <= 2 are read from the columns, above 2
+            # from them first; dmin >= 1 makes le False below 1
+            for d in (-1, 0, 1, 2, 3, 4):
                 assert _run_trial(code, d) == (one, dmin <= d)
+                assert _run_trial(blind, d) == (one, dmin <= d)
             multi_edges += any(len(set(s)) < len(s) for _, s in code.cns)
         assert multi_edges
 
@@ -540,8 +541,14 @@ class TestStats:
         for owner, name in ((gldpc.sampler, "global_parity_rows"), (gf2, "row_reduce")):
             monkeypatch.setattr(owner, name, refuse)
         reduced, reduce = [], gf2.nullspace_basis
-        monkeypatch.setattr(gf2, "nullspace_basis",
-                            lambda cols, k: reduced.append(len(cols)) or reduce(cols, k))
+
+        def spy(cols, k):
+            # min_distance passes an iterator, which frees each column as it is read
+            cols = list(cols)
+            reduced.append(len(cols))
+            return reduce(cols, k)
+
+        monkeypatch.setattr(gf2, "nullspace_basis", spy)
         spec = VnRegularEnsemble(mixture=CnMixture.of([ham7], [1]), q=2)
         stats = estimate_dmin_stats(spec, 14, 6, 0.5, 11)
         # no weight-1 word and nothing over the limit: every trial reached min_distance
