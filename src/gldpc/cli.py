@@ -28,9 +28,10 @@ MAX_J = 100
 #: VM, SPC-3 q = 3, one row per column: 0.1-0.2 s at n = 6000, 5.5-6.9 s and 180 MB peak
 #: at n = 30 000, the edge cap). No (3,6) trial is reduced, at any threshold.
 MAX_N = 30_000
-#: Most sample --trials; the cheapest trial costs about 55 us and an A7-sized
-#: one (n = 147, read from the columns) about 0.07 ms (2-vCPU VM), so the cap is
-#: 6 s to 7 s of such trials.
+#: Most sample --trials; a trial costs at least its seeding and draw, about 0.03 ms,
+#: and an A7-sized one (n = 147, d <= 2, screened a chunk at a time) about 0.04 ms
+#: (2-vCPU VM), so the cap is 3 s to 4 s of such trials: 100 000 A7 trials take
+#: 3.9-4.2 s with start-up.
 MAX_TRIALS = 100_000
 
 
@@ -199,6 +200,8 @@ def cmd_sample(args: argparse.Namespace) -> int:
     if not math.isfinite(args.alpha * max(args.n, 1)):
         raise SpecFileError(f"--alpha must make alpha * n finite, got {args.alpha} "
                             f"at n = {args.n}")
+    if args.alpha < 0:
+        raise SpecFileError(f"--alpha must be non-negative, got {args.alpha}")
     spec = load_spec_file(args.spec)
     view = _select_view(spec, args.ensemble, "sample")
     stats = sampler.estimate_dmin_stats(

@@ -289,6 +289,17 @@ class InstancePlan:
         types = self.spec.mixture.types
         return CnLayout(types, np.repeat(np.arange(len(runs)) % len(types), runs))
 
+    @functools.cached_property
+    def socket_vns(self) -> np.ndarray:
+        """The VN on each edge socket before a draw shuffles them (read-only): each
+        VN once per layer of a VN-regular code, else each VN once per edge, in VN order."""
+        if isinstance(self.spec, VnRegularEnsemble):
+            vns = np.tile(np.arange(self.n), self.spec.q)
+        else:
+            vns = np.repeat(np.arange(self.n), np.repeat(*zip(*self.vn_degree_counts)))
+        vns.flags.writeable = False
+        return vns
+
 
 def validate_finite_instance(
     spec: Union[VnRegularEnsemble, UnstructuredEnsemble], n: int

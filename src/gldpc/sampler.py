@@ -35,6 +35,10 @@ DEFAULT_K_LIMIT = 28
 #: edges, 0.04 s and 89 MB at 10^6; with every column checked exactly, 0.05 s and 49 MB
 #: at 90 000); 90 000 is (3,6) at the largest --n, 30 000.
 MAX_EDGES = 90_000
+#: Bytes a chunk of `estimate_dmin_stats` trials may take: per trial, a row of
+#: sockets (8 bytes a socket) and a row of column images, its sorted copy and two
+#: masks (18 bytes a VN).
+_CHUNK_BYTES = gf2._WALK_BUFFER_BYTES
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,10 +121,8 @@ class SampledCode:
 
     @functools.cached_property
     def sketch(self) -> np.ndarray:
-        """Each VN's column image (see `_socket_images`): the XOR of its sockets'."""
-        image = np.zeros(self.n, np.int64)
-        np.bitwise_xor.at(image, self.sockets, _socket_images(self.layout))
-        return image
+        """Each VN's column image (see `_sketches`)."""
+        return _sketches(self.layout, self.n, self.sockets[None])[0]
 
 
 @functools.lru_cache(maxsize=8)
@@ -153,6 +155,15 @@ def _socket_images(layout: CnLayout) -> np.ndarray:
     return images
 
 
+def _sketches(layout: CnLayout, n: int, sockets: np.ndarray) -> np.ndarray:
+    """The column images of the codes whose socket VNs are the rows of sockets, one
+    row of n per code: a VN's image is the XOR of its sockets' (`_socket_images`)."""
+    table = np.zeros((len(sockets), n), np.int64)
+    np.bitwise_xor.at(table, (np.arange(len(sockets))[:, None], sockets),
+                      _socket_images(layout))
+    return table
+
+
 def _rng_for(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
@@ -162,31 +173,45 @@ def _trial_seed(base_seed: int, trial: int) -> int:
     return int(child.generate_state(1, np.uint64)[0])
 
 
+def _draw(plan: InstancePlan, rng_seed: int, sockets: np.ndarray) -> None:
+    """Write one seeded draw's socket VNs, in CN order, into sockets (plan.edges long).
+
+    A VN-regular code keeps its first layer of `plan.socket_vns` in VN order and
+    shuffles each further layer; an unstructured code shuffles them all.
+    """
+    rng = _rng_for(rng_seed)
+    sockets[:] = plan.socket_vns
+    if isinstance(plan.spec, VnRegularEnsemble):
+        for layer in sockets.reshape(plan.spec.q, plan.n)[1:]:
+            rng.shuffle(layer)
+    else:
+        rng.shuffle(sockets)
+
+
+def _sample(plan: InstancePlan, rng_seed: int) -> SampledCode:
+    sockets = np.empty(plan.edges, np.int64)
+    _draw(plan, rng_seed, sockets)
+    return SampledCode(plan.n, plan.layout, sockets)
+
+
 def sample_vn_regular(plan: InstancePlan, rng_seed: int) -> SampledCode:
     """Draw one code: a block-diagonal CN layer plus q-1 column permutations.
 
     Layer 1 attaches CNs to consecutive VN indices in type order; each
     further layer applies an independent uniform permutation of the VNs.
     """
-    spec = plan.spec
-    if not isinstance(spec, VnRegularEnsemble):
+    if not isinstance(plan.spec, VnRegularEnsemble):
         raise ValueError(f"sample_vn_regular needs a VN-regular plan, got "
-                         f"{type(spec).__name__}")
-    rng = _rng_for(rng_seed)
-    layers = [np.arange(plan.n)] + [rng.permutation(plan.n) for _ in range(spec.q - 1)]
-    return SampledCode(plan.n, plan.layout, np.concatenate(layers))
+                         f"{type(plan.spec).__name__}")
+    return _sample(plan, rng_seed)
 
 
 def sample_unstructured(plan: InstancePlan, rng_seed: int) -> SampledCode:
     """Draw one configuration-model code: a uniform matching of edge sockets."""
-    spec = plan.spec
-    if not isinstance(spec, UnstructuredEnsemble):
+    if not isinstance(plan.spec, UnstructuredEnsemble):
         raise ValueError(f"sample_unstructured needs an unstructured plan, got "
-                         f"{type(spec).__name__}")
-    rng = _rng_for(rng_seed)
-    degrees = np.repeat(*zip(*plan.vn_degree_counts))
-    matched = rng.permutation(np.repeat(np.arange(plan.n), degrees))
-    return SampledCode(plan.n, plan.layout, matched)
+                         f"{type(plan.spec).__name__}")
+    return _sample(plan, rng_seed)
 
 
 def global_parity_rows(code: SampledCode) -> List[int]:
@@ -238,7 +263,7 @@ def has_weight_one_codeword(code: SampledCode) -> bool:
     Only the VNs whose column sketch is zero have their exact columns built,
     so no parity row is built.
     """
-    return 0 in code.columns(_suspects(code.sketch, False))
+    return 0 in code.columns(np.flatnonzero(_suspects(code.sketch[None], False)))
 
 
 def wilson_interval(count: int, total: int) -> Tuple[float, float]:
@@ -279,20 +304,29 @@ class DminStats:
     seed: int
 
 
-def _suspects(image: np.ndarray, shared: bool) -> np.ndarray:
-    """The VNs whose image is zero or, if shared, equal to another VN's: by
-    linearity, every VN with a zero or repeated column is among them."""
-    flagged = image == 0
+def _suspects(table: np.ndarray, shared: bool) -> np.ndarray:
+    """Marks, in each row of column images (see `_sketches`), the VNs whose image
+    is zero or, if shared, equal to another VN's in that row: by linearity, every
+    VN with a zero or repeated column is marked."""
+    marked = table == 0
     if shared:
-        ordered = np.sort(image)
-        repeats = ordered[1:][ordered[1:] == ordered[:-1]]
-        if repeats.size:
-            flagged |= np.isin(image, repeats)
-    return np.flatnonzero(flagged)
+        ordered = np.sort(table, axis=1)
+        same = ordered[:, 1:] == ordered[:, :-1]
+        for r in np.flatnonzero(same.any(axis=1)):
+            marked[r] |= np.isin(table[r], ordered[r, 1:][same[r]])
+    return marked
 
 
 def _run_trial(code: SampledCode, threshold_d: int) -> Tuple[bool, Optional[bool]]:
-    """(weight-1 found, min distance <= threshold or None if over limit).
+    """(weight-1 found, min distance <= threshold or None if over limit) of one
+    code on its own: `_decide` on the suspects of its own sketch."""
+    return _decide(code, np.flatnonzero(_suspects(code.sketch[None], threshold_d == 2)),
+                   threshold_d)
+
+
+def _decide(code: SampledCode, suspects: np.ndarray,
+            threshold_d: int) -> Tuple[bool, Optional[bool]]:
+    """`_run_trial`, given the code's suspect VNs (`_suspects` at threshold_d).
 
     Weight 1, and a threshold <= 2, are read from the columns: a weight-1
     codeword is a zero column and a weight-2 one a repeated column. The column
@@ -304,7 +338,7 @@ def _run_trial(code: SampledCode, threshold_d: int) -> Tuple[bool, Optional[bool
     the limit before building any column, and stops its search as soon as the
     answer is settled.
     """
-    cols = code.columns(_suspects(code.sketch, threshold_d == 2))
+    cols = code.columns(suspects)
     one = 0 in cols
     if threshold_d <= 2 or one:
         return one, threshold_d >= 1 and one or threshold_d == 2 and len(set(cols)) < len(cols)
@@ -319,17 +353,28 @@ def estimate_dmin_stats(spec: Union[VnRegularEnsemble, UnstructuredEnsemble], n:
     """Sample `trials` codes and count weight-1 / small-distance events.
 
     Per-trial seeds derive from rng_seed, so results are identical across
-    runs.
+    runs. Trials go in chunks that fit _CHUNK_BYTES (at least one trial each):
+    each trial is drawn into a row of the chunk's socket table, and one sketch
+    table and one suspect rule screen the whole chunk. At a threshold <= 2 only
+    the rows with a suspect VN become a `SampledCode` for `_decide`, since any
+    other is (False, False); above 2 every row does.
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     plan = validate_finite_instance(spec, n)
     if plan.edges > MAX_EDGES:
         raise ValueError(f"n = {n} gives {plan.edges} edges, more than the cap of {MAX_EDGES}")
-    draw = sample_vn_regular if isinstance(spec, VnRegularEnsemble) else sample_unstructured
     threshold_d = math.floor(alpha_threshold * n)
-    results = [_run_trial(draw(plan, _trial_seed(rng_seed, i)), threshold_d)
-               for i in range(trials)]
+    chunk = max(1, _CHUNK_BYTES // (8 * plan.edges + 18 * n))
+    results = []
+    for first in range(0, trials, chunk):
+        sockets = np.empty((min(chunk, trials - first), plan.edges), np.int64)
+        for i, row in enumerate(sockets, first):
+            _draw(plan, _trial_seed(rng_seed, i), row)
+        marks = _suspects(_sketches(plan.layout, n, sockets), threshold_d == 2)
+        results += [_decide(SampledCode(n, plan.layout, sockets[r]), np.flatnonzero(marks[r]),
+                            threshold_d)
+                    for r in np.flatnonzero(marks.any(axis=1) | (threshold_d > 2))]
     eq_one = sum(1 for one, _ in results if one)
     over = sum(1 for _, le in results if le is None)
     le_count = sum(1 for _, le in results if le)

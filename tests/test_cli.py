@@ -306,6 +306,15 @@ class TestSample:
         assert "--alpha must make alpha * n finite" in err
         assert not (tmp_path / "x.json").exists()
 
+    # a negative alpha used to print a negative threshold_d and a 0-count record
+    @pytest.mark.parametrize("alpha", ["-0.5", "-1e-9"])
+    def test_negative_alpha_rejected(self, tmp_path, capsys, alpha):
+        err = run_fast(["sample", spec_path("bound_mix.json"), "--n", "147",
+                        "--trials", "3", f"--alpha={alpha}", "--seed", "1",
+                        "--out", str(tmp_path / "x.json")], capsys)
+        assert f"--alpha must be non-negative, got {float(alpha)}" in err
+        assert not (tmp_path / "x.json").exists()
+
     @pytest.mark.parametrize("flag,cap", [("--n", MAX_N), ("--trials", MAX_TRIALS)])
     def test_size_over_cap_exits_2(self, tmp_path, capsys, flag, cap):
         sizes = {"--n": "147", "--trials": "2", flag: str(cap + 1)}

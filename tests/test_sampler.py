@@ -609,6 +609,53 @@ class TestStats:
         assert frac <= ub.value + 3 * sigma
 
 
+def trial_by_trial(spec, n, trials, threshold_d, seed):
+    """Reference counts: each trial drawn by its sampler and run on its own."""
+    results = [_run_trial(sample_any(spec, n, _trial_seed(seed, i)), threshold_d)
+               for i in range(trials)]
+    return (sum(one for one, _ in results), sum(bool(le) for _, le in results),
+            sum(le is None for _, le in results))
+
+
+def batch_counts(spec, n, trials, threshold_d, seed):
+    stats = estimate_dmin_stats(spec, n, trials, (threshold_d + 0.5) / n, seed)
+    assert stats.threshold_d == threshold_d
+    return stats.count_eq_one, stats.count_le_threshold, stats.count_k_over_limit
+
+
+class TestBatchMatchesTrials:
+    """The chunked screen counts exactly what each trial run on its own counts."""
+
+    @pytest.mark.parametrize("threshold_d", [0, 1, 2, 3])
+    @pytest.mark.parametrize("name,n", [("spc3_q2", 30), ("alldeg2_spc3", 30),
+                                        ("bound_mix", 147)])
+    def test_counts_equal(self, name, n, threshold_d):
+        sf = load_spec_file(spec_path(f"{name}.json"))
+        spec = sf.vn_regular or sf.unstructured
+        trials = 300 if name == "bound_mix" else 60
+        reference = trial_by_trial(spec, n, trials, threshold_d, 9)
+        assert batch_counts(spec, n, trials, threshold_d, 9) == reference
+        if name == "bound_mix" and threshold_d >= 1:
+            assert reference[0] > 0  # weight-1 hits are screened in, not out
+
+    def test_trials_span_chunks(self, bound_mix_ensemble, monkeypatch):
+        import gldpc.sampler
+
+        plan = validate_finite_instance(bound_mix_ensemble, 147)
+        monkeypatch.setattr(gldpc.sampler, "_CHUNK_BYTES", 4 * (8 * plan.edges + 18 * 147))
+        screened, sketches = [], gldpc.sampler._sketches
+
+        def spy(layout, n, sockets):
+            screened.append(len(sockets))
+            return sketches(layout, n, sockets)
+
+        monkeypatch.setattr(gldpc.sampler, "_sketches", spy)
+        reference = trial_by_trial(bound_mix_ensemble, 147, 10, 2, 9)
+        screened.clear()
+        assert batch_counts(bound_mix_ensemble, 147, 10, 2, 9) == reference
+        assert screened == [4, 4, 2]
+
+
 class TestWilson:
     def test_empty(self):
         assert wilson_interval(0, 0) == (0.0, 1.0)
