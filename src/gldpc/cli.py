@@ -28,10 +28,10 @@ MAX_J = 100
 #: VM, SPC-3 q = 3, one row per column: 0.1-0.2 s at n = 6000, 5.5-6.9 s and 180 MB peak
 #: at n = 30 000, the edge cap). No (3,6) trial is reduced, at any threshold.
 MAX_N = 30_000
-#: Most sample --trials; a trial costs at least its seeding and draw, about 0.03 ms,
-#: and an A7-sized one (n = 147, d <= 2, screened a chunk at a time) about 0.04 ms
-#: (2-vCPU VM), so the cap is 3 s to 4 s of such trials: 100 000 A7 trials take
-#: 3.9-4.2 s with start-up.
+#: Most sample --trials; a trial costs at least its draw, about 0.006-0.009 ms (the
+#: seeds take one array pass per run), and an A7-sized one (n = 147, d <= 2, screened
+#: a chunk at a time) about 0.02 ms (2-vCPU VM), so the cap is about 2 s of such
+#: trials: 100 000 A7 trials take 1.8 s with start-up.
 MAX_TRIALS = 100_000
 
 

@@ -1,16 +1,21 @@
 """Finite code instances sampled from either ensemble, with exact checks.
 
-Sampling is deterministic given a 64-bit seed (numpy PCG64 seeded through
-SeedSequence; each trial's seed is derived from the base seed with its own
-spawn key, so Monte Carlo aggregates are identical across runs).
+Sampling is deterministic given a non-negative integer seed, so Monte Carlo
+aggregates are identical across runs. One code drawn from seed s uses numpy's
+PCG64 seeded by SeedSequence(s). Trial i of an `estimate_dmin_stats` run from
+base seed b uses PCG64 seeded by SeedSequence(t), where t is the uint64 that
+SeedSequence(b, spawn_key=(i,)) generates: numpy's spawn chain, two levels deep.
+`_seed_words` computes that chain's PCG64 words for a block of trials at once,
+in uint32 array steps, bit for bit as numpy does.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -36,9 +41,14 @@ DEFAULT_K_LIMIT = 28
 #: at 90 000); 90 000 is (3,6) at the largest --n, 30 000.
 MAX_EDGES = 90_000
 #: Bytes a chunk of `estimate_dmin_stats` trials may take: per trial, a row of
-#: sockets (8 bytes a socket) and a row of column images, its sorted copy and two
-#: masks (18 bytes a VN).
+#: sockets and its offset copy in `_sketches` (16 bytes a socket) and a row of column
+#: images, its sorted copy and two masks (18 bytes a VN).
 _CHUNK_BYTES = gf2._WALK_BUFFER_BYTES
+#: Trials `_seed_words` seeds in one pass: at most 128 bytes a trial (its four
+#: output words, four pool words and their temporaries), within _CHUNK_BYTES.
+_SEED_BLOCK = _CHUNK_BYTES // 128
+#: Most trials in one run: each trial's spawn key is one uint32 word.
+_MAX_TRIALS = 1 << 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,29 +167,180 @@ def _socket_images(layout: CnLayout) -> np.ndarray:
 
 def _sketches(layout: CnLayout, n: int, sockets: np.ndarray) -> np.ndarray:
     """The column images of the codes whose socket VNs are the rows of sockets, one
-    row of n per code: a VN's image is the XOR of its sockets' (`_socket_images`)."""
+    row of n per code: a VN's image is the XOR of its sockets' (`_socket_images`).
+
+    The scatter goes through the table's 1-D view, each row's sockets offset to
+    its row: faster than a (row, VN) tuple index, most of all on a one-row table.
+    """
     table = np.zeros((len(sockets), n), np.int64)
-    np.bitwise_xor.at(table, (np.arange(len(sockets))[:, None], sockets),
+    np.bitwise_xor.at(table.reshape(-1), sockets + np.arange(0, table.size, n)[:, None],
                       _socket_images(layout))
     return table
 
 
-def _rng_for(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx). Its k-th entropy
+# hash step takes a word w to xorshift((w ^ A_k) * A_(k+1)), with A_k = INIT_A * MULT_A^k
+# mod 2^32 and xorshift(x) = x ^ x >> 16; generate_state's k-th word steps the same
+# way with B_k = INIT_B * MULT_B^k. mix(x, y) = xorshift(MIX_L * x - MIX_R * y).
+_MASK = 0xFFFF_FFFF
+_INIT_A, _MULT_A = 0x43B0_D7E5, 0x931E_8875
+_INIT_B, _MULT_B = 0x8B51_F9DD, 0x58F3_8DED
+_MIX_L, _MIX_R = 0xCA01_F9DD, 0x4973_F715
 
 
-def _trial_seed(base_seed: int, trial: int) -> int:
-    child = np.random.SeedSequence(base_seed, spawn_key=(trial,))
-    return int(child.generate_state(1, np.uint64)[0])
+def _powers(init: int, mult: int, count: int) -> List[int]:
+    """init * mult^k mod 2^32 for k < count."""
+    out = [init]
+    while len(out) < count:
+        out.append(out[-1] * mult & _MASK)
+    return out
 
 
-def _draw(plan: InstancePlan, rng_seed: int, sockets: np.ndarray) -> None:
-    """Write one seeded draw's socket VNs, in CN order, into sockets (plan.edges long).
+def _hash(word: int, consts: List[int], k: int) -> int:
+    """The k-th entropy hash step of word, given the A constants, in Python ints."""
+    word = (word ^ consts[k]) * consts[k + 1] & _MASK
+    return word ^ word >> 16
+
+
+def _mix(x: int, y: int) -> int:
+    x = (_MIX_L * x - _MIX_R * y) & _MASK
+    return x ^ x >> 16
+
+
+def _columns(values: Sequence[int]) -> np.ndarray:
+    return np.array(values, np.uint32)[:, None]
+
+
+def _xorshift(words: np.ndarray, where=True) -> None:
+    np.bitwise_xor(words, words >> 16, out=words, where=where)
+
+
+def _mix_steps(consts: List[int], src: int) -> Tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """SeedSequence(t)'s hash steps of pool word src into the other three (steps
+    4 + 3 * src onwards of consts, the A constants): src, then (4, 1) xor and
+    multiplier columns and the mask of the three words."""
+    dst = np.arange(4)[:, None] != src
+    xor, mult = np.zeros((2, 4, 1), np.uint32)
+    xor[dst], mult[dst] = consts[4 + 3 * src:7 + 3 * src], consts[5 + 3 * src:8 + 3 * src]
+    return src, xor, mult, dst
+
+
+@functools.lru_cache(maxsize=1)
+def _trial_chain() -> Tuple[type, Tuple[np.ndarray, np.ndarray], list, np.ndarray]:
+    """What every seeded run needs of SeedSequence(t) and PCG64, built on first
+    use: importing numpy.random and a process's first numpy array ops take about
+    15 ms and 0.4 MB that a command drawing no code should not pay.
+
+    - a seed sequence type that hands PCG64 one trial's `_seed_words` row;
+    - the (xor, multiplier) columns of SeedSequence(t)'s hash steps 0-3, on t's
+      two words and two zeros;
+    - `_mix_steps` of each source word of its pool mix;
+    - the xor (row 0) and multiplier (row 1) of generate_state's first eight
+      steps, as (2, 4) arrays.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class Words(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    a, b = _powers(_INIT_A, _MULT_A, 17), _powers(_INIT_B, _MULT_B, 9)
+    return (Words, (_columns(a[:4]), _columns(a[1:5])), [_mix_steps(a, src) for src in range(4)],
+            np.array([b[:8], b[1:]], np.uint32).reshape(2, 2, 4))
+
+
+@functools.lru_cache(maxsize=8)
+def _spawn_pool(base: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """SeedSequence(base, spawn_key=(i,)) up to its last entropy word i, the same
+    for every i, in Python ints: MIX_L times pool words 0 and 1 (the two that
+    generate_state(1, uint64) reads), and the (xor, multiplier) of i's hash
+    steps into them. The entropy is base's 32-bit words, little-endian and
+    zero-padded to four, then i.
+    """
+    if base < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {base}")
+    words = [base >> s & _MASK for s in range(0, max(base.bit_length(), 1), 32)]
+    words += [0] * (4 - len(words))
+    consts, k = _powers(_INIT_A, _MULT_A, 4 * len(words) + 3), 0
+    pool = []
+    for word in words[:4]:
+        pool.append(_hash(word, consts, k))
+        k += 1
+    for src in range(4):
+        for dst in range(4):
+            if dst != src:
+                pool[dst] = _mix(pool[dst], _hash(pool[src], consts, k))
+                k += 1
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], _hash(word, consts, k))
+            k += 1
+    return (_columns(consts[k:k + 2]), _columns(consts[k + 1:k + 3]),
+            _columns([_MIX_L * p & _MASK for p in pool[:2]]))
+
+
+def _seed_words(base: int, first: int, count: int) -> np.ndarray:
+    """The PCG64 seed words of trials first .. first + count - 1 from base seed
+    base, one row of four uint64 each: SeedSequence(t).generate_state(4, uint64)
+    for t = SeedSequence(base, spawn_key=(i,)).generate_state(1, uint64)[0].
+
+    Every step is a uint32 array op over the trials (their hash constants do
+    not depend on the data), with the spawn-independent part from `_spawn_pool`.
+    A t below 2^32 has one entropy word, but its missing high word hashes as the
+    zero it is here. Needs first + count <= _MAX_TRIALS.
+    """
+    _, trial_hash, mix_steps, state_steps = _trial_chain()
+    xor, mult, scaled = _spawn_pool(operator.index(base))
+    # the spawn word's mixes into pool words 0 and 1, then t's two words
+    t = np.arange(first, first + count, dtype=np.uint32) ^ xor
+    t *= mult
+    _xorshift(t)
+    t *= _MIX_R
+    np.subtract(scaled, t, out=t)
+    _xorshift(t)
+    t ^= state_steps[0, 0, :2, None]
+    t *= state_steps[1, 0, :2, None]
+    _xorshift(t)
+    # SeedSequence(t)'s pool, mixed one source word into the other three at a time
+    pool = np.zeros((4, count), np.uint32)
+    pool[:2] = t
+    pool ^= trial_hash[0]
+    pool *= trial_hash[1]
+    _xorshift(pool)
+    for src, xor, mult, dst in mix_steps:
+        h = pool[src] ^ xor
+        h *= mult
+        _xorshift(h)
+        h *= _MIX_R
+        np.multiply(pool, _MIX_L, out=pool, where=dst)
+        np.subtract(pool, h, out=pool, where=dst)
+        _xorshift(pool, dst)
+    # generate_state(4, uint64): pool words 0-3 twice, as little-endian word pairs
+    state = np.bitwise_xor(pool.T[:, None], state_steps[0],
+                           out=np.empty((count, 2, 4), np.uint32))
+    state *= state_steps[1]
+    _xorshift(state)
+    return state.reshape(count, 8).astype("<u4", copy=False).view("<u8").astype(
+        np.uint64, copy=False)
+
+
+def _trial_rngs(base: int, trials: int) -> Iterator[np.random.Generator]:
+    """Each trial's generator in turn, its words seeded a block at a time."""
+    words_type = _trial_chain()[0]
+    for first in range(0, trials, _SEED_BLOCK):
+        for words in _seed_words(base, first, min(_SEED_BLOCK, trials - first)):
+            yield np.random.Generator(np.random.PCG64(words_type(words)))
+
+
+def _draw(plan: InstancePlan, rng: np.random.Generator, sockets: np.ndarray) -> None:
+    """Write one draw of rng's socket VNs, in CN order, into sockets (plan.edges long).
 
     A VN-regular code keeps its first layer of `plan.socket_vns` in VN order and
     shuffles each further layer; an unstructured code shuffles them all.
     """
-    rng = _rng_for(rng_seed)
     sockets[:] = plan.socket_vns
     if isinstance(plan.spec, VnRegularEnsemble):
         for layer in sockets.reshape(plan.spec.q, plan.n)[1:]:
@@ -190,7 +351,7 @@ def _draw(plan: InstancePlan, rng_seed: int, sockets: np.ndarray) -> None:
 
 def _sample(plan: InstancePlan, rng_seed: int) -> SampledCode:
     sockets = np.empty(plan.edges, np.int64)
-    _draw(plan, rng_seed, sockets)
+    _draw(plan, np.random.default_rng(rng_seed), sockets)
     return SampledCode(plan.n, plan.layout, sockets)
 
 
@@ -361,16 +522,19 @@ def estimate_dmin_stats(spec: Union[VnRegularEnsemble, UnstructuredEnsemble], n:
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
+    if trials > _MAX_TRIALS:
+        raise ValueError(f"trials must be at most 2**32 (a one-word spawn key each), "
+                         f"got {trials}")
     plan = validate_finite_instance(spec, n)
     if plan.edges > MAX_EDGES:
         raise ValueError(f"n = {n} gives {plan.edges} edges, more than the cap of {MAX_EDGES}")
     threshold_d = math.floor(alpha_threshold * n)
-    chunk = max(1, _CHUNK_BYTES // (8 * plan.edges + 18 * n))
-    results = []
+    chunk = max(1, _CHUNK_BYTES // (16 * plan.edges + 18 * n))
+    rngs, results = _trial_rngs(rng_seed, trials), []
     for first in range(0, trials, chunk):
         sockets = np.empty((min(chunk, trials - first), plan.edges), np.int64)
-        for i, row in enumerate(sockets, first):
-            _draw(plan, _trial_seed(rng_seed, i), row)
+        for row, rng in zip(sockets, rngs):
+            _draw(plan, rng, row)
         marks = _suspects(_sketches(plan.layout, n, sockets), threshold_d == 2)
         results += [_decide(SampledCode(n, plan.layout, sockets[r]), np.flatnonzero(marks[r]),
                             threshold_d)

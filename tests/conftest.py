@@ -1,5 +1,6 @@
 import os
 
+import numpy as np
 import pytest
 
 from gldpc.ensemble import CheckNodeType, CnMixture, UnstructuredEnsemble, VnRegularEnsemble
@@ -9,6 +10,13 @@ SPEC_DIR = os.path.join(os.path.dirname(__file__), "specs")
 
 def spec_path(name: str) -> str:
     return os.path.join(SPEC_DIR, name)
+
+
+def trial_seed(base_seed: int, trial: int) -> int:
+    """numpy's seed for trial `trial` of a run from base_seed: the oracle for the
+    sampler's vectorised spawn chain."""
+    child = np.random.SeedSequence(base_seed, spawn_key=(trial,))
+    return int(child.generate_state(1, np.uint64)[0])
 
 
 def dot_parity(row: int, v: int) -> int:

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gldpc import gf2
 from gldpc.ensemble import (
@@ -19,7 +21,6 @@ from gldpc.sampler import (
     DEFAULT_K_LIMIT,
     SampledCode,
     _run_trial,
-    _trial_seed,
     estimate_dmin_stats,
     global_parity_rows,
     has_weight_one_codeword,
@@ -30,7 +31,7 @@ from gldpc.sampler import (
 )
 from gldpc.specfile import load_spec_file
 
-from conftest import dot_parity, is_codeword, spec_path, vn_degrees
+from conftest import dot_parity, is_codeword, spec_path, trial_seed, vn_degrees
 
 
 def make_code(types, cns, n):
@@ -186,9 +187,89 @@ def test_draws_match_golden_sockets(name, n, trials):
     spec = sf.vn_regular or sf.unstructured
     digest = hashlib.sha256()
     for i in range(trials):
-        code = sample_any(spec, n, _trial_seed(5, i))
+        code = sample_any(spec, n, trial_seed(5, i))
         digest.update(code.sockets.astype("<i8").tobytes())
     assert digest.hexdigest() == GOLDEN_SOCKETS[name, n, trials]
+
+
+def test_batch_draws_match_golden_sockets(monkeypatch):
+    """The socket tables `estimate_dmin_stats` screens, chunk by chunk, hash to the
+    same golden digests as the one-trial draws above."""
+    import gldpc.sampler
+
+    tables, sketches = [], gldpc.sampler._sketches
+
+    def spy(layout, n, sockets):
+        tables.append(sockets.astype("<i8").tobytes())
+        return sketches(layout, n, sockets)
+
+    monkeypatch.setattr(gldpc.sampler, "_sketches", spy)
+    for (name, n, trials), golden in sorted(GOLDEN_SOCKETS.items()):
+        sf = load_spec_file(spec_path(f"{name}.json"))
+        tables.clear()
+        estimate_dmin_stats(sf.vn_regular or sf.unstructured, n, trials, 0.0, 5)
+        assert len(tables) > (name == "bound_mix")  # bound_mix spans several chunks
+        assert hashlib.sha256(b"".join(tables)).hexdigest() == golden
+
+
+BASE_SEEDS = st.integers(0, 2**256 - 1)
+
+
+class TestTrialSeeds:
+    """The vectorised seeding equals numpy's two-level SeedSequence spawn chain."""
+
+    @given(base=BASE_SEEDS, first=st.integers(0, 2**32 - 1), count=st.integers(1, 40))
+    @example(base=0, first=0, count=1)
+    @example(base=2**32 - 1, first=2**32 - 3, count=3)
+    @example(base=2**32, first=7, count=2)
+    @example(base=2**64, first=0, count=12)
+    @example(base=2**128 + 1, first=2**31, count=5)
+    @settings(max_examples=60, deadline=None)
+    def test_words_match_numpy(self, base, first, count):
+        from gldpc.sampler import _seed_words
+
+        count = min(count, 2**32 - first)
+        want = [np.random.SeedSequence(trial_seed(base, i)).generate_state(4, np.uint64)
+                for i in range(first, first + count)]
+        assert np.array_equal(_seed_words(base, first, count), want)
+
+    @given(base=BASE_SEEDS, block=st.integers(1, 6), trials=st.integers(1, 20))
+    @example(base=0, block=4, trials=9)
+    @example(base=2**128 + 1, block=3, trials=3)
+    @settings(max_examples=40, deadline=None)
+    def test_generators_cross_seed_blocks(self, base, block, trials):
+        from unittest import mock
+
+        import gldpc.sampler
+
+        with mock.patch.object(gldpc.sampler, "_SEED_BLOCK", block):
+            got = [rng.bit_generator.state for rng in gldpc.sampler._trial_rngs(base, trials)]
+        assert got == [np.random.default_rng(trial_seed(base, i)).bit_generator.state
+                       for i in range(trials)]
+
+    def test_trials_past_one_spawn_word_refused(self, bound_mix_ensemble, monkeypatch):
+        import gldpc.sampler
+
+        monkeypatch.setattr(gldpc.sampler, "validate_finite_instance", None)  # no plan, no draw
+        with pytest.raises(ValueError, match=r"at most 2\*\*32"):
+            estimate_dmin_stats(bound_mix_ensemble, 147, 2**32 + 1, 0.02, 1)
+
+    def test_import_leaves_numpy_random_unloaded(self):
+        """Only a command that draws pays for numpy.random's import (part of setup time)."""
+        import os
+        import subprocess
+        import sys
+
+        import gldpc
+
+        src = os.path.dirname(os.path.dirname(gldpc.__file__))
+        code = "import sys, gldpc.cli; sys.exit('numpy.random' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": src}
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+    def test_negative_seed_refused(self, bound_mix_ensemble):
+        with pytest.raises(ValueError, match="non-negative"):
+            estimate_dmin_stats(bound_mix_ensemble, 147, 3, 0.02, -1)
 
 
 class TestSampledCode:
@@ -305,7 +386,7 @@ class TestMinDistance:
                             or information_sets(*args))
         bounded, trial = [], []
         for i in range(4):
-            code = sample_any(spec, 140, _trial_seed(5, i))
+            code = sample_any(spec, 140, trial_seed(5, i))
             d = min_distance(code)
             assert (min_distance(code, 2) <= 2) == (d <= 2)
             bounded.append(split.pop())
@@ -320,7 +401,7 @@ class TestMinDistance:
         spec = load_spec_file(spec_path("hamming7_q2.json")).vn_regular
         dists = []
         for i in range(40):
-            code = sample_any(spec, 140, _trial_seed(5, i))
+            code = sample_any(spec, 140, trial_seed(5, i))
             basis = gf2.nullspace_basis(code.columns(range(code.n)), DEFAULT_K_LIMIT)
             assert len(basis) == 20
             dists.append(min_distance(code))
@@ -330,7 +411,7 @@ class TestMinDistance:
 
     def test_hamming7_never_walks(self, monkeypatch):
         spec = load_spec_file(spec_path("hamming7_q2.json")).vn_regular
-        codes = [sample_any(spec, 140, _trial_seed(5, i)) for i in range(10)]
+        codes = [sample_any(spec, 140, trial_seed(5, i)) for i in range(10)]
         expected = [walk_min_distance(code) for code in codes]
 
         def refuse(*args):
@@ -342,7 +423,7 @@ class TestMinDistance:
     def test_hamming15_at_the_dimension_limit(self):
         # k = 28: the walk takes 2^28 words, the search those of weights 1 and 2
         spec = load_spec_file(spec_path("hamming15_q2.json")).vn_regular
-        code = sample_any(spec, 60, _trial_seed(1, 0))
+        code = sample_any(spec, 60, trial_seed(1, 0))
         basis = gf2.nullspace_basis(code.columns(range(code.n)), DEFAULT_K_LIMIT)
         assert len(basis) == DEFAULT_K_LIMIT == 28
         assert min_distance(code) == walk_min_distance(code) == 3
@@ -350,7 +431,7 @@ class TestMinDistance:
     def test_memory_at_the_dimension_limit(self):
         spec = load_spec_file(spec_path("hamming15_q2.json")).vn_regular
         for i in range(4):
-            code = sample_any(spec, 60, _trial_seed(1, i))
+            code = sample_any(spec, 60, trial_seed(1, i))
             tracemalloc.start()
             try:
                 d = min_distance(code)
@@ -611,7 +692,7 @@ class TestStats:
 
 def trial_by_trial(spec, n, trials, threshold_d, seed):
     """Reference counts: each trial drawn by its sampler and run on its own."""
-    results = [_run_trial(sample_any(spec, n, _trial_seed(seed, i)), threshold_d)
+    results = [_run_trial(sample_any(spec, n, trial_seed(seed, i)), threshold_d)
                for i in range(trials)]
     return (sum(one for one, _ in results), sum(bool(le) for _, le in results),
             sum(le is None for _, le in results))
@@ -642,7 +723,7 @@ class TestBatchMatchesTrials:
         import gldpc.sampler
 
         plan = validate_finite_instance(bound_mix_ensemble, 147)
-        monkeypatch.setattr(gldpc.sampler, "_CHUNK_BYTES", 4 * (8 * plan.edges + 18 * 147))
+        monkeypatch.setattr(gldpc.sampler, "_CHUNK_BYTES", 4 * (16 * plan.edges + 18 * 147))
         screened, sketches = [], gldpc.sampler._sketches
 
         def spy(layout, n, sockets):
