@@ -17,6 +17,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import gf2
 from .ensemble import (
     CheckNodeType,
     CnMixture,
@@ -43,10 +44,14 @@ _FLOOR_ULPS = 64
 # Safety cap; safeguarded Newton needs far fewer steps.
 _MAX_STEPS = 100
 # Scan size per root (a shared scan is at least as fine across each root's
-# span), which also caps the points one buffer or one batch holds; and the
+# span), which also caps the specs one batch holds and the points one tilt
+# table block holds (blocks are sized by gf2._WALK_BUFFER_BYTES); and the
 # root bracket width in relative weight.
 _SCAN_POINTS = 2200
 _ROOT_TOL = 1e-10
+# exp(x) is exactly +0.0 below log(2^-1075) = -745.133..., where even the
+# smallest subnormal rounds away; the cutoff sits a margin below it.
+_EXP_ZERO = -745.2
 
 
 @dataclass(frozen=True)
@@ -114,18 +119,28 @@ def _type_curve(cn: CheckNodeType, t: np.ndarray) -> np.ndarray:
     the same bits whatever other points share the call (a matrix product
     rounds by the shape of the whole array). Since A_0 = 1, A e^-top =
     1 + rest with rest = sum e_u + expm1(-top), and log A = top +
-    log1p(rest) stays accurate where log A is tiny. At most _SCAN_POINTS
-    rows are built at a time.
+    log1p(rest) stays accurate where log A is tiny.
+
+    Rows are built a block at a time, each block of float64 cells within
+    gf2._WALK_BUFFER_BYTES (at least one row, at most _SCAN_POINTS), so a
+    wide type never holds a whole scan's table. Cells below _EXP_ZERO are
+    set to +0.0 instead of being exponentiated: exp rounds them to exactly
+    that, and an underflowing exp is many times slower than a normal one.
+    Subnormal terms are still exponentiated, and a NaN cell is never below
+    the cutoff, so it still goes through exp.
     """
     us, us2, logs = _log_table(cn)
+    rows = min(_SCAN_POINTS, max(1, gf2._WALK_BUFFER_BYTES // (8 * us.size)))
     out = np.empty((3, t.size))
-    for k in range(0, t.size, _SCAN_POINTS):
-        part = slice(k, k + _SCAN_POINTS)
+    for k in range(0, t.size, rows):
+        part = slice(k, k + rows)
         e = np.multiply.outer(t[part], us)
         e += logs
         top = np.maximum(e.max(axis=1), 0.0)
         e -= top[:, None]
-        np.exp(e, out=e)
+        dead = e < _EXP_ZERO
+        np.exp(e, out=e, where=~dead)
+        e[dead] = 0.0
         rest = e.sum(axis=1) + np.expm1(-top)
         mean = np.vecdot(e, us) / (1.0 + rest)
         out[0, part] = top + np.log1p(rest)
@@ -291,11 +306,15 @@ def _critical_ratios(specs: Sequence[VnRegularEnsemble],
     spaced log-tilts. The grid spans every spec's _scan_ends and is at
     least as fine as _SCAN_POINTS points across the narrowest span; each
     spec reads the points within its own span, with its own weights,
-    rounding floor and VN degree. Then all brackets are refined in one
-    call, each to its own tolerance, so callers pass at most _SCAN_POINTS
-    specs to keep every buffer within a scan's size. Specs whose verdict is
-    decided analytically are not scanned. keep_scan: whether each curve
-    carries its scanned points.
+    rounding floor and VN degree. However long the grid, _type_curve
+    builds each type's table of exponents in blocks within
+    gf2._WALK_BUFFER_BYTES, and skips exp on cells below _EXP_ZERO, where
+    exp returns exactly +0.0, so neither changes a bit. Then all brackets
+    are refined in one call, each to its own tolerance, so callers pass at
+    most _SCAN_POINTS specs to keep every other buffer within a scan's
+    size; both ends of the final brackets are evaluated in one more call.
+    Specs whose verdict is decided analytically are not scanned.
+    keep_scan: whether each curve carries its scanned points.
     """
     curves: List[Optional[GrowthCurve]] = [None] * len(specs)
     scanned = []
@@ -371,8 +390,10 @@ def _critical_ratios(specs: Sequence[VnRegularEnsemble],
         return _growth_curve({cn: wr[idx, c] for c, cn in enumerate(types)}, q[idx], x)
 
     lo, hi = _bracketed_newton(lambda idx, x: at(x, idx)[1:3], *np.array(brackets).T)
-    # at's values do not depend on the batch: these are the ones the solver saw
-    (a_lo, g_lo), (a_hi, g_hi) = (at(x)[:2] for x in (lo, hi))
+    # at's values do not depend on the batch: these are the ones the solver
+    # saw, both ends in one call
+    ends_a, ends_g = at(np.concatenate((lo, hi)), np.tile(np.arange(len(rows)), 2))[:2]
+    (a_lo, a_hi), (g_lo, g_hi) = np.split(ends_a, 2), np.split(ends_g, 2)
     root = lo - g_lo * (hi - lo) / (g_hi - g_lo)
     a_root, g_root = at(root)[:2]
     for m, (n, scan) in enumerate(zip(rows, scans)):

@@ -33,7 +33,9 @@ from .ensemble import (
 
 #: Longest CN type a spec may declare, of any kind: a type's WEF costs bigint work
 #: growing faster than s^2, so a huge "s" would hang (2-vCPU VM: spc 1023 takes
-#: 0.003 s, spc 8000 0.07 s, spc 32000 1.0 s).
+#: 0.003 s, spc 8000 0.07 s, spc 32000 1.0 s). At the cap, the 2200-point growth
+#: scan of a Hamming-1023 type takes 14 ms and its root search peaks at 0.8 MB
+#: of traced allocations (2-vCPU VM, numpy 2.4.6).
 MAX_CN_LENGTH = 1023
 
 

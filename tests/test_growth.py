@@ -1,5 +1,7 @@
 import math
+import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
@@ -7,15 +9,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gldpc import growth
+from gldpc import gf2, growth
 from gldpc.ensemble import CheckNodeType, CnMixture, VnRegularEnsemble
 from gldpc.growth import (
+    _EXP_ZERO,
     _ROOT_TOL,
     _SCAN_POINTS,
     VERDICT_EXISTS,
     VERDICT_NOT_EXISTS,
     _bracketed_newton,
     _growth_curve,
+    _type_curve,
     _weights,
     edge_weight_limit,
     find_critical_ratio,
@@ -485,3 +489,69 @@ class TestBatchedRefinement:
                 alone = _bracketed_newton(lambda idx, x: f(idx + k, x),
                                           lo[k:k + 1], hi[k:k + 1], tol[k:k + 1])
                 assert (alone[0][0], alone[1][0]) == (batch_lo[k], batch_hi[k])
+
+
+def plain_type_curve(table, t):
+    """The tilt kernel with one plain exp per cell, _SCAN_POINTS rows at a
+    time: the reference for _type_curve's blocks and cutoff."""
+    us, us2, logs = table
+    out = np.empty((3, t.size))
+    for k in range(0, t.size, _SCAN_POINTS):
+        part = slice(k, k + _SCAN_POINTS)
+        e = np.multiply.outer(t[part], us)
+        e += logs
+        top = np.maximum(e.max(axis=1), 0.0)
+        e -= top[:, None]
+        np.exp(e, out=e)
+        rest = e.sum(axis=1) + np.expm1(-top)
+        mean = np.vecdot(e, us) / (1.0 + rest)
+        out[0, part] = top + np.log1p(rest)
+        out[1, part] = mean
+        out[2, part] = np.vecdot(e, us2) / (1.0 + rest) - mean * mean
+    return out
+
+
+class TestTypeCurveKernel:
+    @given(
+        st.integers(1, 1023),
+        st.floats(0, 709),
+        st.integers(0, 3),
+        st.integers(-1, 1),
+        st.tuples(st.floats(-700, 700), st.floats(-700, 700)),
+        st.integers(0, 2 ** 32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_plain_exp_kernel(self, width, log_max, blocks, offset, t_range, seed):
+        # a random WEF table of `width` nonzero weights up to 1023 with log
+        # coefficients up to log_max, at a point count on either side of a
+        # multiple of _type_curve's block size
+        rng = np.random.default_rng(seed)
+        us = np.sort(rng.choice(np.arange(1, 1024), width, replace=False)).astype(float)
+        table = us, us * us, rng.uniform(0, log_max, width)
+        rows = min(_SCAN_POINTS, gf2._WALK_BUFFER_BYTES // (8 * width))
+        lo, hi = sorted(t_range)
+        t = lo + (hi - lo) * rng.random(max(1, blocks * rows + offset))
+        with mock.patch.object(growth, "_log_table", lambda cn: table):
+            got = _type_curve(None, t)
+        want = plain_type_curve(table, t)
+        np.testing.assert_array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_exp_is_positive_zero_below_cutoff(self):
+        x = np.concatenate((np.linspace(_EXP_ZERO, _EXP_ZERO - 1, 100_001),
+                            np.linspace(_EXP_ZERO, -1e4, 1_000_001), [-np.inf]))
+        y = np.exp(x)
+        assert not y.any() and not np.signbit(y).any()
+
+    def test_wide_type_stays_within_a_block_budget(self):
+        cn = CheckNodeType.hamming(1023)
+        spec = VnRegularEnsemble(mixture=CnMixture.of([cn], [1]), q=2)
+        growth._log_table(cn)  # the WEF is built outside the measurement
+        tracemalloc.start()
+        try:
+            curve = find_critical_ratio(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert curve.root_located
+        assert peak < 2e6
