@@ -73,7 +73,8 @@ def _analyze_report(spec: SpecFile) -> Dict[str, Any]:
     view = spec.vn_regular
     if view is not None:
         rate = ensemble.design_rate(view)
-        curve = growth.find_critical_ratio(view)
+        # no scanned point is printed, so the scan stops at the root
+        curve = growth._critical_ratios([view], keep_scan=False)[0]
         block: Dict[str, Any] = {
             "q": view.q,
             "design_rate": _tagged(rate, "1 - q * (1 - sum_t rho_t k_t / s_t)"),
@@ -228,7 +229,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
     }
     warnings: List[str] = []
     if isinstance(view, ensemble.VnRegularEnsemble):
-        curve = growth.find_critical_ratio(view)
+        curve = growth._critical_ratios([view], keep_scan=False)[0]
         record["reference"] = {
             "critical_ratio": curve.critical_ratio,
             "verdict": curve.verdict,

@@ -44,9 +44,10 @@ _FLOOR_ULPS = 64
 # Safety cap; safeguarded Newton needs far fewer steps.
 _MAX_STEPS = 100
 # Scan size per root (a shared scan is at least as fine across each root's
-# span), which also caps the specs one batch holds and the points one tilt
-# table block holds (blocks are sized by gf2._WALK_BUFFER_BYTES); and the
-# root bracket width in relative weight.
+# span), which also caps the specs one batch holds, the points one tilt
+# table block holds (blocks are sized by gf2._WALK_BUFFER_BYTES) and the
+# (spec, point) cells one scoring slice holds; and the root bracket width
+# in relative weight.
 _SCAN_POINTS = 2200
 _ROOT_TOL = 1e-10
 # exp(x) is exactly +0.0 below log(2^-1075) = -745.133..., where even the
@@ -67,7 +68,12 @@ class GrowthCurve:
     ratio (both None when no root was located); sign_changes counts the
     sign changes of the scanned curve, ignoring values within rounding
     error of zero. A verdict decided analytically comes with no scan:
-    rel_weights and growth are empty and sign_changes is 0.
+    rel_weights and growth are empty and sign_changes is 0. A curve from
+    the root-only search (what analyze, sweep and sample print) has the
+    same ratio, verdict, bracket and residual as find_critical_ratio's,
+    but empty rel_weights and growth, and sign_changes counts only what
+    its scan saw, which ends at the first positive point: 1 when a root
+    is located, else 0.
     """
 
     rel_weights: Tuple[float, ...]
@@ -110,6 +116,13 @@ def edge_weight_limit(m: CnMixture) -> float:
     return float(sum(r * t.wef.degree / t.s for t, r in zip(m.types, m.rho)))
 
 
+def _block_rows(weights: int) -> int:
+    """Rows of a tilt table block over this many nonzero WEF weights: the
+    float64 cells within gf2._WALK_BUFFER_BYTES, at least one row and at
+    most _SCAN_POINTS."""
+    return min(_SCAN_POINTS, max(1, gf2._WALK_BUFFER_BYTES // (8 * weights)))
+
+
 def _type_curve(cn: CheckNodeType, t: np.ndarray) -> np.ndarray:
     """log A(e^t), E[u] and Var(u) of one CN type at an array of log-tilts.
 
@@ -130,7 +143,7 @@ def _type_curve(cn: CheckNodeType, t: np.ndarray) -> np.ndarray:
     the cutoff, so it still goes through exp.
     """
     us, us2, logs = _log_table(cn)
-    rows = min(_SCAN_POINTS, max(1, gf2._WALK_BUFFER_BYTES // (8 * us.size)))
+    rows = _block_rows(us.size)
     out = np.empty((3, t.size))
     for k in range(0, t.size, rows):
         part = slice(k, k + rows)
@@ -302,19 +315,31 @@ def _critical_ratios(specs: Sequence[VnRegularEnsemble],
                      keep_scan: bool) -> List[GrowthCurve]:
     """find_critical_ratio of each spec, from one scan and one refinement.
 
-    Each CN type's tilt curve is evaluated once, on one grid of evenly
-    spaced log-tilts. The grid spans every spec's _scan_ends and is at
-    least as fine as _SCAN_POINTS points across the narrowest span; each
-    spec reads the points within its own span, with its own weights,
-    rounding floor and VN degree. However long the grid, _type_curve
-    builds each type's table of exponents in blocks within
-    gf2._WALK_BUFFER_BYTES, and skips exp on cells below _EXP_ZERO, where
-    exp returns exactly +0.0, so neither changes a bit. Then all brackets
-    are refined in one call, each to its own tolerance, so callers pass at
-    most _SCAN_POINTS specs to keep every other buffer within a scan's
-    size; both ends of the final brackets are evaluated in one more call.
-    Specs whose verdict is decided analytically are not scanned.
-    keep_scan: whether each curve carries its scanned points.
+    Each CN type's tilt curve is evaluated on one grid of evenly spaced
+    log-tilts. The grid spans every spec's _scan_ends and is at least as
+    fine as _SCAN_POINTS points across the narrowest span; each spec reads
+    the points within its own span, with its own weights, rounding floor
+    and VN degree. The grid is walked in increasing t, a block of rows at
+    a time, and each block is scored for all open specs at once, a slice
+    of at most about _SCAN_POINTS (spec, point) cells at a time. Every
+    point is computed on its own, so the walk changes no bit of any point.
+
+    keep_scan: whether each curve carries its scanned points. With it,
+    every spec is scanned to the end of its span, and the grid is one
+    block, which _type_curve splits by its own budget. Without it, a spec
+    closes at its first positive point (or the end of its span), and the
+    walk stops after the block in which the last spec closes. Its blocks
+    are _block_rows rows for all the batch's nonzero WEF weights together,
+    so each type's table of exponents in a block is one _type_curve block.
+    The curve then holds no points, and sign_changes counts the changes
+    the scan saw up to its first positive point: 1 when a root is
+    located, else 0.
+
+    Then all brackets are refined in one call, each to its own tolerance,
+    so callers pass at most _SCAN_POINTS specs to keep every other buffer
+    within a scan's size; both ends of the final brackets are evaluated in
+    one more call. Specs whose verdict is decided analytically are not
+    scanned.
     """
     curves: List[Optional[GrowthCurve]] = [None] * len(specs)
     scanned = []
@@ -340,24 +365,70 @@ def _critical_ratios(specs: Sequence[VnRegularEnsemble],
     # exactly _SCAN_POINTS points
     spans = (last - first) / (ends[:, 1] - ends[:, 0]).min()
     t = np.linspace(first, last, math.ceil((_SCAN_POINTS - 1) * spans) + 1)
-    tables = [_type_curve(cn, t) for cn in types]
+    # each spec's span is grid rows [lo, hi)
+    lo, hi = np.searchsorted(t, ends[:, 0]), np.searchsorted(t, ends[:, 1], "right")
+    q = np.array([specs[p].q for p in scanned])
+
+    # per spec: grid rows of its first positive G and of the last negative G
+    # before it (-1: none yet), alpha at both, and whether any G in its span
+    # was not negative
+    pos, neg = np.full(len(scanned), -1), np.full(len(scanned), -1)
+    a_pos, a_neg = np.zeros(len(scanned)), np.zeros(len(scanned))
+    not_neg = np.zeros(len(scanned), dtype=bool)
+    points: List[list] = [[] for _ in scanned]  # (alpha, G, sign) pieces, keep_scan only
+    open_ = np.arange(len(scanned))
+    block = t.size if keep_scan else _block_rows(sum(_log_table(cn)[0].size for cn in types))
+    for r0 in range(0, t.size, block):
+        if not open_.size:
+            break
+        r1 = min(r0 + block, t.size)
+        tables = [_type_curve(cn, t[r0:r1]) for cn in types]
+        a = r0
+        while a < r1 and open_.size:
+            b = min(r1, a + max(1, _SCAN_POINTS // open_.size))
+            o, r = open_, np.arange(a, b)
+            inside = (lo[o, None] <= r) & (r < hi[o, None])
+            wo = w[o]
+            log_a, alpha = (sum(wo[:, c, None] * table[row, a - r0:b - r0]
+                                for c, table in enumerate(tables)) for row in (0, 1))
+            # a point outside a spec's span is not scored; 0.5 keeps its
+            # entropy finite
+            alpha = np.where(inside, alpha, 0.5)
+            g, floor = _growth_terms(q[o, None], alpha, t[a:b], log_a)
+            up, down = inside & (g > floor), inside & (g < -floor)
+            # each spec's first positive row in this slice (b: none), and its
+            # last negative row before that (-1: none)
+            j = np.where(up.any(axis=1), a + up.argmax(axis=1), b)
+            i = np.where(down & (r < j[:, None]), r, -1).max(axis=1)
+            fresh = pos[o] < 0
+            got = fresh & (i >= 0)
+            neg[o[got]], a_neg[o[got]] = i[got], alpha[got, i[got] - a]
+            got = fresh & (j < b)
+            pos[o[got]], a_pos[o[got]] = j[got], alpha[got, j[got] - a]
+            not_neg[o] |= (inside & ~down).any(axis=1)
+            if keep_scan:
+                sign = up.astype(int) - down
+                for m, n in enumerate(o):
+                    part = slice(max(lo[n], a) - a, min(hi[n], b) - a)
+                    points[n].append((alpha[m, part], g[m, part], sign[m, part]))
+            closed = hi[o] <= b
+            if not keep_scan:
+                closed |= pos[o] >= 0
+            open_ = o[~closed]
+            a = b
 
     rows, brackets, scans = [], [], []
     for n, p in enumerate(scanned):
         spec = specs[p]
-        span = slice(np.searchsorted(t, ends[n, 0]), np.searchsorted(t, ends[n, 1], "right"))
-        ts = t[span]
-        log_a, alpha = (sum(x * table[row, span] for x, table in zip(w[n], tables))
-                        for row in (0, 1))
-        g, floor = _growth_terms(spec.q, alpha, ts, log_a)
-        sign = np.where(g > floor, 1, np.where(g < -floor, -1, 0))
-        signed = sign[sign != 0]
-        scan = dict(
-            rel_weights=tuple(alpha.tolist()) if keep_scan else (),
-            growth=tuple(g.tolist()) if keep_scan else (),
-            sign_changes=int(np.count_nonzero(signed[1:] != signed[:-1])),
-        )
-        if (sign < 0).all():
+        located = pos[n] >= 0 and neg[n] >= 0
+        if keep_scan:
+            alpha, g, sign = (np.concatenate(x) for x in zip(*points[n]))
+            signed = sign[sign != 0]
+            scan = dict(rel_weights=tuple(alpha.tolist()), growth=tuple(g.tolist()),
+                        sign_changes=int(np.count_nonzero(signed[1:] != signed[:-1])))
+        else:
+            scan = dict(rel_weights=(), growth=(), sign_changes=int(located))
+        if pos[n] < 0 and not not_neg[n]:
             curves[p] = GrowthCurve(
                 **scan,
                 critical_ratio=edge_weight_limit(spec.mixture),
@@ -365,26 +436,23 @@ def _critical_ratios(specs: Sequence[VnRegularEnsemble],
                 root_located=False,
             )
             continue
-        positive = np.flatnonzero(sign > 0)
-        before = np.flatnonzero(sign[:positive[0]]) if positive.size else positive
-        if not before.size:
+        if not located:
             # G is within rounding error of 0 wherever it could change sign,
             # so neither a root nor decay can be certified; report that, not
             # a guess
             curves[p] = GrowthCurve(**scan, critical_ratio=None,
                                     verdict=VERDICT_NO_SIGN_CHANGE, root_located=False)
             continue
-        i, j = int(before[-1]), int(positive[0])
+        i, j = neg[n], pos[n]
         # tolerance in t that makes the final bracket about _ROOT_TOL wide in alpha
-        tol = _ROOT_TOL * (ts[j] - ts[i]) / (alpha[j] - alpha[i])
+        tol = _ROOT_TOL * (t[j] - t[i]) / (a_pos[n] - a_neg[n])
         rows.append(n)
-        brackets.append((ts[i], ts[j], tol))
+        brackets.append((t[i], t[j], tol))
         scans.append(scan)
     if not rows:
         return curves
 
-    wr = w[rows]
-    q = np.array([specs[scanned[n]].q for n in rows])
+    wr, q = w[rows], q[rows]
 
     def at(x, idx=slice(None)):
         return _growth_curve({cn: wr[idx, c] for c, cn in enumerate(types)}, q[idx], x)
@@ -428,6 +496,13 @@ def find_critical_ratio(spec: VnRegularEnsemble) -> GrowthCurve:
     expected codeword count decays at every scanned relative weight). When
     no negative-to-positive change clears the floor otherwise, the verdict
     is no_sign_change_found and the ratio None.
+
+    The curve carries every scanned point, and sign_changes counts the
+    sign changes over the whole domain. The root-only search the CLI uses
+    (_critical_ratios without keep_scan) stops after the block of the scan
+    that holds the first positive point; its ratio, verdict, bracket and
+    residual are the same bits, but it carries no points and counts only
+    the sign change it saw (see GrowthCurve).
     """
     return _critical_ratios([spec], keep_scan=True)[0]
 

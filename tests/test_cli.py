@@ -139,6 +139,16 @@ class TestAnalyze:
         ub = report["unstructured"]["min_distance_prob_bound"]
         assert ub["vacuous"] and ub["value"] is None
 
+    # reports written before the root search stopped its scan at the root
+    @pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(SPEC_DIR, "*.json"))),
+                             ids=os.path.basename)
+    def test_golden_reports(self, tmp_path, path):
+        out = tmp_path / "report.json"
+        assert run(["analyze", path, "--out", str(out)]) == 0
+        name = os.path.splitext(os.path.basename(path))[0]
+        with open(os.path.join(GOLDEN_DIR, f"analyze_{name}.json"), "rb") as fh:
+            assert out.read_bytes() == fh.read()
+
     def test_missing_file_is_io_error(self, tmp_path):
         assert run(["analyze", str(tmp_path / "nope.json")]) == 3
 
@@ -162,6 +172,20 @@ class TestSweep:
         assert rows[0] == "gamma1,rho1,design_rate,critical_ratio,verdict,delta_gv"
         assert len(rows) == 22
         assert out1.read_bytes() == out2.read_bytes()
+
+    # the two Hamming-pair sweeps of the benchmark, written before the scan
+    # stopped at the last root of the batch; the specs are not in tests/specs,
+    # whose every file is analyzed
+    @pytest.mark.parametrize("name,lengths", [("hamming63_31_q2", (63, 31)),
+                                              ("hamming31_15_q2", (31, 15))])
+    def test_golden_sweeps(self, tmp_path, name, lengths):
+        spec = tmp_path / f"{name}.json"
+        spec.write_text(json.dumps({"cn_types": [{"kind": "hamming", "s": s} for s in lengths],
+                                    "rho": ["1/2", "1/2"], "q": 2}))
+        out = tmp_path / "s.csv"
+        assert run(["sweep", str(spec), "--gamma-grid", "0:1:0.05", "--out", str(out)]) == 0
+        with open(os.path.join(GOLDEN_DIR, f"sweep_{name}.csv"), "rb") as fh:
+            assert out.read_bytes() == fh.read()
 
     def test_single_type_spec_rejected(self, tmp_path):
         assert run(["sweep", spec_path("spc3_q2.json"),

@@ -1,4 +1,7 @@
+import glob
+import itertools
 import math
+import os
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -17,7 +20,9 @@ from gldpc.growth import (
     _SCAN_POINTS,
     VERDICT_EXISTS,
     VERDICT_NOT_EXISTS,
+    VERDICT_NO_SIGN_CHANGE,
     _bracketed_newton,
+    _critical_ratios,
     _growth_curve,
     _type_curve,
     _weights,
@@ -29,6 +34,7 @@ from gldpc.growth import (
     tilted_edge_weight,
     two_type_sweep,
 )
+from gldpc.specfile import load_spec_file
 
 # Smallest growth-rate roots from an extended-precision scan (1e-6 grid
 # bracketing plus bisection at 40 digits), frozen here.
@@ -555,3 +561,102 @@ class TestTypeCurveKernel:
             tracemalloc.stop()
         assert curve.root_located
         assert peak < 2e6
+
+
+CORPUS = sorted(
+    glob.glob(os.path.join(os.path.dirname(__file__), "specs", "*.json"))
+    + glob.glob(os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "specs",
+                             "*.json")))
+
+
+def vn_regular_corpus():
+    """The VN-regular view of every spec file, and its CN types in file order."""
+    views = [load_spec_file(p).vn_regular for p in CORPUS]
+    views = [v for v in views if v is not None]
+    types = list(dict.fromkeys(cn for v in views for cn in v.mixture.types))
+    return views, types
+
+
+def root_fields(curve):
+    """The fields a root-only search must share with the full scan, floats as hex."""
+    def hexed(x):
+        return None if x is None else float(x).hex()
+    return (hexed(curve.critical_ratio),
+            None if curve.bracket is None else tuple(map(hexed, curve.bracket)),
+            hexed(curve.residual), curve.verdict, curve.root_located)
+
+
+def assert_root_only_matches(specs):
+    """_critical_ratios without its scan gives the full scan's root bit for bit."""
+    roots = _critical_ratios(specs, keep_scan=False)
+    full = _critical_ratios(specs, keep_scan=True)
+    for root, curve in zip(roots, full):
+        assert root_fields(root) == root_fields(curve)
+        assert root.rel_weights == root.growth == ()
+        assert root.sign_changes == int(root.root_located)
+    return roots
+
+
+class TestRootOnlyScan:
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    def test_corpus_roots_match_full_scan(self, q):
+        views, _ = vn_regular_corpus()
+        for view in views:
+            spec = VnRegularEnsemble(mixture=view.mixture, q=q)
+            (root,) = assert_root_only_matches([spec])
+            assert root_fields(root) == root_fields(find_critical_ratio(spec))
+
+    @pytest.mark.parametrize("copies", [3, 21])
+    def test_batch_of_copies_matches_alone(self, copies):
+        # copies share the one-spec grid but score it _SCAN_POINTS // copies
+        # rows at a time: 733 (the last slice ends one row short of the span's
+        # end) or 104
+        views, _ = vn_regular_corpus()
+        for view in views:
+            spec = VnRegularEnsemble(mixture=view.mixture, q=3)
+            alone = find_critical_ratio(spec)
+            assert _critical_ratios([spec] * copies, keep_scan=True) == [alone] * copies
+            (root,) = _critical_ratios([spec], keep_scan=False)
+            assert _critical_ratios([spec] * copies, keep_scan=False) == [root] * copies
+
+    def test_verdict_paths_match_full_scan(self, ham7):
+        # located roots, a saturated ratio, and near-cycle codes whose growth
+        # rate is rounding noise (no_sign_change_found), in one batch
+        specs = [VnRegularEnsemble(mixture=CnMixture.of([ham7], [1]), q=3)]
+        for k in range(2, 17):
+            rho = 1 - Fraction(1, 10 ** k)
+            specs.append(VnRegularEnsemble(
+                mixture=mixture_of((CheckNodeType.spc(2), rho), (ham7, 1 - rho)), q=2))
+        verdicts = {c.verdict for c in assert_root_only_matches(specs)}
+        assert verdicts == {VERDICT_EXISTS, VERDICT_NO_SIGN_CHANGE}
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_sweeps_match_full_scan(self, monkeypatch, q):
+        _, types = vn_regular_corpus()
+        batches = []
+
+        def checked(specs, keep_scan):
+            assert not keep_scan
+            batches.append(len(specs))
+            return assert_root_only_matches(specs)
+
+        monkeypatch.setattr(growth, "_critical_ratios", checked)
+        grid = [Fraction(i, 20) for i in range(21)]
+        for type_a, type_b in itertools.combinations(types, 2):
+            two_type_sweep(type_a, type_b, q, grid)
+        assert batches == [21] * (len(types) * (len(types) - 1) // 2)
+
+    def test_wide_root_reads_a_third_of_the_grid(self, monkeypatch):
+        spec = VnRegularEnsemble(mixture=CnMixture.of([CheckNodeType.hamming(511)], [1]),
+                                 q=2)
+        kernel, rows = growth._type_curve, []
+
+        def counting(cn, t):
+            rows.append(t.size)
+            return kernel(cn, t)
+
+        monkeypatch.setattr(growth, "_type_curve", counting)
+        # the root sits at row 380 of 2200; the count includes the refinement's
+        (root,) = _critical_ratios([spec], keep_scan=False)
+        assert root.root_located
+        assert sum(rows) <= _SCAN_POINTS // 3
