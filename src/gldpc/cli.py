@@ -24,6 +24,12 @@ MAX_GRID_POINTS = 10_001
 #: Largest --j coef-convergence accepts; a row costs about j^2 log n bigint work (2-vCPU
 #: VM: 0.3 s at j = 100, n = 3e6; 4.3 s at j = 300, n = 3e5). A larger j exits 2.
 MAX_J = 100
+#: Most --n-list entries coef-convergence accepts; a longer list exits 2 before any row
+#: is computed. A row at j = MAX_J costs 0.02 s (alldeg2_spc3, n = 22 947, the largest
+#: whose limit is finite), 0.1 s (bound_mix, n = 73 500) and 0.57 s (Hamming-7 with
+#: lambda_3 = 1, n = 7e12; a zero limit admits any n) on a 2-vCPU VM, so a full list
+#: of the slowest of these takes about a minute.
+MAX_N_LIST = 100
 #: Largest sample --n; a trial's column pass grows about as n^2.1 where k <= 28 (2-vCPU
 #: VM, SPC-3 q = 3, one row per column: 0.1-0.2 s at n = 6000, 5.5-6.9 s and 180 MB peak
 #: at n = 30 000, the edge cap). No (3,6) trial is reduced, at any threshold.
@@ -264,6 +270,9 @@ def cmd_coef_convergence(args: argparse.Namespace) -> int:
         n_list = [int(x) for x in args.n_list.split(",") if x]
     except ValueError as exc:
         raise SpecFileError("--n-list: expected comma-separated integers") from exc
+    if len(n_list) > MAX_N_LIST:
+        raise SpecFileError(f"--n-list: {len(n_list)} block lengths, more than the cap "
+                            f"of {MAX_N_LIST}")
     rows = bounds.even_coef_convergence(view, args.j, n_list)
     lines = ["n,cn_total,edges,j,exact_coef,limit_value,ratio"]
     for r in rows:
@@ -314,7 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec")
     p.add_argument("--j", type=int, required=True,
                    help=f"half the target weight, at most {MAX_J}")
-    p.add_argument("--n-list", required=True, help="comma-separated block lengths")
+    p.add_argument("--n-list", required=True,
+                   help=f"comma-separated block lengths, at most {MAX_N_LIST}")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_coef_convergence)
 

@@ -6,7 +6,9 @@ PCG64 seeded by SeedSequence(s). Trial i of an `estimate_dmin_stats` run from
 base seed b uses PCG64 seeded by SeedSequence(t), where t is the uint64 that
 SeedSequence(b, spawn_key=(i,)) generates: numpy's spawn chain, two levels deep.
 `_seed_words` computes that chain's PCG64 words for a block of trials at once,
-in uint32 array steps, bit for bit as numpy does.
+bit for bit as numpy does: one uint32 array kernel of numpy's entropy mixing
+(`_pool`) and state generation (`_state`), whose columns are trials, runs both
+levels.
 """
 
 from __future__ import annotations
@@ -178,65 +180,76 @@ def _sketches(layout: CnLayout, n: int, sockets: np.ndarray) -> np.ndarray:
     return table
 
 
-# numpy's SeedSequence constants (numpy/random/bit_generator.pyx). Its k-th entropy
-# hash step takes a word w to xorshift((w ^ A_k) * A_(k+1)), with A_k = INIT_A * MULT_A^k
-# mod 2^32 and xorshift(x) = x ^ x >> 16; generate_state's k-th word steps the same
-# way with B_k = INIT_B * MULT_B^k. mix(x, y) = xorshift(MIX_L * x - MIX_R * y).
+# numpy's SeedSequence (numpy/random/bit_generator.pyx). Its k-th hash step, in
+# mix_entropy with the A constants and in generate_state with the B constants, takes a
+# word w to xorshift((w ^ C_k) * C_(k+1)), with C_k = INIT * MULT^k mod 2^32 and
+# xorshift(x) = x ^ x >> 16; mix(x, y) = xorshift(MIX_L * x - MIX_R * y).
 _MASK = 0xFFFF_FFFF
 _INIT_A, _MULT_A = 0x43B0_D7E5, 0x931E_8875
 _INIT_B, _MULT_B = 0x8B51_F9DD, 0x58F3_8DED
 _MIX_L, _MIX_R = 0xCA01_F9DD, 0x4973_F715
 
 
-def _powers(init: int, mult: int, count: int) -> List[int]:
-    """init * mult^k mod 2^32 for k < count."""
-    out = [init]
-    while len(out) < count:
-        out.append(out[-1] * mult & _MASK)
-    return out
+def _xorshift(words: np.ndarray) -> np.ndarray:
+    words ^= words >> 16
+    return words
 
 
-def _hash(word: int, consts: List[int], k: int) -> int:
-    """The k-th entropy hash step of word, given the A constants, in Python ints."""
-    word = (word ^ consts[k]) * consts[k + 1] & _MASK
-    return word ^ word >> 16
+@functools.lru_cache(maxsize=512)
+def _constants(init: int, mult: int, steps: Tuple[int, ...]) -> np.ndarray:
+    """The xor (C_k) and multiplier (C_(k+1)) columns of hash steps k in steps, read
+    only. The steps depend on the word count alone, so calls share them; 512 holds
+    those of the longest seed the CLI parses (447 words)."""
+    consts = np.array([[[init * pow(mult, k + i, 1 << 32) & _MASK] for k in steps]
+                       for i in (0, 1)], np.uint32)
+    consts.flags.writeable = False
+    return consts
 
 
-def _mix(x: int, y: int) -> int:
-    x = (_MIX_L * x - _MIX_R * y) & _MASK
-    return x ^ x >> 16
+def _hash(words: np.ndarray, init: int, mult: int, steps: Tuple[int, ...]) -> np.ndarray:
+    """Hash step steps[r] of row r of words; a single row takes every step."""
+    xor, times = _constants(init, mult, steps)
+    words = words ^ xor
+    words *= times
+    return _xorshift(words)
 
 
-def _columns(values: Sequence[int]) -> np.ndarray:
-    return np.array(values, np.uint32)[:, None]
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return _xorshift(_MIX_L * x - _MIX_R * y)
 
 
-def _xorshift(words: np.ndarray, where=True) -> None:
-    np.bitwise_xor(words, words >> 16, out=words, where=where)
+def _pool(words: Sequence[np.ndarray]) -> np.ndarray:
+    """mix_entropy of the entropy words: the four pool words, one row each, whose
+    columns are trials. Each word is a uint32 array of trials, and a one-element
+    word broadcasts against the others.
+    """
+    words = list(words) + [np.zeros(1, np.uint32)] * (4 - len(words))
+    pool = _hash(np.stack(np.broadcast_arrays(*words[:4])), _INIT_A, _MULT_A, (0, 1, 2, 3))
+    k = 4
+    for src in range(4):
+        # word src's hash steps into the other words, in order; row src takes a
+        # spare step and then gets its own word back
+        mixed = _mix(pool, _hash(pool[src], _INIT_A, _MULT_A,
+                                 tuple(k + dst - (dst > src) for dst in range(4))))
+        mixed[src] = pool[src]
+        pool, k = mixed, k + 3
+    for word in words[4:]:
+        pool = _mix(pool, _hash(word, _INIT_A, _MULT_A, tuple(range(k, k + 4))))
+        k += 4
+    return pool
 
 
-def _mix_steps(consts: List[int], src: int) -> Tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-    """SeedSequence(t)'s hash steps of pool word src into the other three (steps
-    4 + 3 * src onwards of consts, the A constants): src, then (4, 1) xor and
-    multiplier columns and the mask of the three words."""
-    dst = np.arange(4)[:, None] != src
-    xor, mult = np.zeros((2, 4, 1), np.uint32)
-    xor[dst], mult[dst] = consts[4 + 3 * src:7 + 3 * src], consts[5 + 3 * src:8 + 3 * src]
-    return src, xor, mult, dst
+def _state(pool: np.ndarray, n_words: int) -> np.ndarray:
+    """generate_state(n_words, uint32) of each column of pool: the pool words in turn."""
+    return _hash(pool.take(np.arange(n_words) % 4, 0), _INIT_B, _MULT_B,
+                 tuple(range(n_words)))
 
 
 @functools.lru_cache(maxsize=1)
-def _trial_chain() -> Tuple[type, Tuple[np.ndarray, np.ndarray], list, np.ndarray]:
-    """What every seeded run needs of SeedSequence(t) and PCG64, built on first
-    use: importing numpy.random and a process's first numpy array ops take about
-    15 ms and 0.4 MB that a command drawing no code should not pay.
-
-    - a seed sequence type that hands PCG64 one trial's `_seed_words` row;
-    - the (xor, multiplier) columns of SeedSequence(t)'s hash steps 0-3, on t's
-      two words and two zeros;
-    - `_mix_steps` of each source word of its pool mix;
-    - the xor (row 0) and multiplier (row 1) of generate_state's first eight
-      steps, as (2, 4) arrays.
+def _words_seed() -> type:
+    """A seed sequence type that hands PCG64 one trial's `_seed_words` row, built on
+    first use: importing numpy.random takes about 10-15 ms (2-vCPU VM) that a
+    command drawing no code should not pay.
     """
     from numpy.random.bit_generator import ISeedSequence
 
@@ -247,39 +260,7 @@ def _trial_chain() -> Tuple[type, Tuple[np.ndarray, np.ndarray], list, np.ndarra
         def generate_state(self, n_words, dtype=np.uint32):
             return self.words
 
-    a, b = _powers(_INIT_A, _MULT_A, 17), _powers(_INIT_B, _MULT_B, 9)
-    return (Words, (_columns(a[:4]), _columns(a[1:5])), [_mix_steps(a, src) for src in range(4)],
-            np.array([b[:8], b[1:]], np.uint32).reshape(2, 2, 4))
-
-
-@functools.lru_cache(maxsize=8)
-def _spawn_pool(base: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """SeedSequence(base, spawn_key=(i,)) up to its last entropy word i, the same
-    for every i, in Python ints: MIX_L times pool words 0 and 1 (the two that
-    generate_state(1, uint64) reads), and the (xor, multiplier) of i's hash
-    steps into them. The entropy is base's 32-bit words, little-endian and
-    zero-padded to four, then i.
-    """
-    if base < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {base}")
-    words = [base >> s & _MASK for s in range(0, max(base.bit_length(), 1), 32)]
-    words += [0] * (4 - len(words))
-    consts, k = _powers(_INIT_A, _MULT_A, 4 * len(words) + 3), 0
-    pool = []
-    for word in words[:4]:
-        pool.append(_hash(word, consts, k))
-        k += 1
-    for src in range(4):
-        for dst in range(4):
-            if dst != src:
-                pool[dst] = _mix(pool[dst], _hash(pool[src], consts, k))
-                k += 1
-    for word in words[4:]:
-        for dst in range(4):
-            pool[dst] = _mix(pool[dst], _hash(word, consts, k))
-            k += 1
-    return (_columns(consts[k:k + 2]), _columns(consts[k + 1:k + 3]),
-            _columns([_MIX_L * p & _MASK for p in pool[:2]]))
+    return Words
 
 
 def _seed_words(base: int, first: int, count: int) -> np.ndarray:
@@ -287,49 +268,26 @@ def _seed_words(base: int, first: int, count: int) -> np.ndarray:
     base, one row of four uint64 each: SeedSequence(t).generate_state(4, uint64)
     for t = SeedSequence(base, spawn_key=(i,)).generate_state(1, uint64)[0].
 
-    Every step is a uint32 array op over the trials (their hash constants do
-    not depend on the data), with the spawn-independent part from `_spawn_pool`.
-    A t below 2^32 has one entropy word, but its missing high word hashes as the
-    zero it is here. Needs first + count <= _MAX_TRIALS.
+    Both levels are `_pool` then `_state`. The first level's entropy is base's
+    32-bit words, little-endian and zero-padded to four (as numpy pads before a
+    spawn key), then i; the second's is t's two words (a t below 2^32 has one,
+    but its missing high word hashes as the zero that `_pool` pads with). Needs
+    first + count <= _MAX_TRIALS.
     """
-    _, trial_hash, mix_steps, state_steps = _trial_chain()
-    xor, mult, scaled = _spawn_pool(operator.index(base))
-    # the spawn word's mixes into pool words 0 and 1, then t's two words
-    t = np.arange(first, first + count, dtype=np.uint32) ^ xor
-    t *= mult
-    _xorshift(t)
-    t *= _MIX_R
-    np.subtract(scaled, t, out=t)
-    _xorshift(t)
-    t ^= state_steps[0, 0, :2, None]
-    t *= state_steps[1, 0, :2, None]
-    _xorshift(t)
-    # SeedSequence(t)'s pool, mixed one source word into the other three at a time
-    pool = np.zeros((4, count), np.uint32)
-    pool[:2] = t
-    pool ^= trial_hash[0]
-    pool *= trial_hash[1]
-    _xorshift(pool)
-    for src, xor, mult, dst in mix_steps:
-        h = pool[src] ^ xor
-        h *= mult
-        _xorshift(h)
-        h *= _MIX_R
-        np.multiply(pool, _MIX_L, out=pool, where=dst)
-        np.subtract(pool, h, out=pool, where=dst)
-        _xorshift(pool, dst)
-    # generate_state(4, uint64): pool words 0-3 twice, as little-endian word pairs
-    state = np.bitwise_xor(pool.T[:, None], state_steps[0],
-                           out=np.empty((count, 2, 4), np.uint32))
-    state *= state_steps[1]
-    _xorshift(state)
-    return state.reshape(count, 8).astype("<u4", copy=False).view("<u8").astype(
-        np.uint64, copy=False)
+    base = operator.index(base)
+    if base < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {base}")
+    words = [base >> s & _MASK for s in range(0, max(base.bit_length(), 1), 32)]
+    words = list(np.array(words + [0] * (4 - len(words)), np.uint32)[:, None])
+    t = _state(_pool(words + [np.arange(first, first + count, dtype=np.uint32)]), 2)
+    state = _state(_pool(t), 8)
+    # each trial's eight words as four little-endian uint64
+    return np.ascontiguousarray(state.T, "<u4").view("<u8").astype(np.uint64, copy=False)
 
 
 def _trial_rngs(base: int, trials: int) -> Iterator[np.random.Generator]:
     """Each trial's generator in turn, its words seeded a block at a time."""
-    words_type = _trial_chain()[0]
+    words_type = _words_seed()
     for first in range(0, trials, _SEED_BLOCK):
         for words in _seed_words(base, first, min(_SEED_BLOCK, trials - first)):
             yield np.random.Generator(np.random.PCG64(words_type(words)))

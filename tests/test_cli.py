@@ -7,7 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from gldpc.cli import MAX_GRID_POINTS, MAX_J, MAX_N, MAX_TRIALS, _fmt, _parse_grid, main
+from gldpc.cli import (MAX_GRID_POINTS, MAX_J, MAX_N, MAX_N_LIST, MAX_TRIALS, _fmt,
+                       _parse_grid, main)
 from gldpc.ensemble import (
     MAX_DECIMAL_EXPONENT,
     CheckNodeType,
@@ -517,6 +518,25 @@ class TestCoefConvergence:
         err = run_fast(["coef-convergence", spec_path("alldeg2_spc3.json"), "--j", j,
                         "--n-list", n_list, "--out", str(tmp_path / "x.csv")], capsys)
         assert message in err
+
+    def test_n_list_cap_is_inclusive(self, tmp_path):
+        out = tmp_path / "c.csv"
+        assert run(["coef-convergence", spec_path("alldeg2_spc3.json"), "--j", "1",
+                    "--n-list", ",".join(["3"] * MAX_N_LIST), "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 1 + MAX_N_LIST
+
+    def test_long_n_list_exits_2_before_any_row(self, tmp_path, capsys, monkeypatch):
+        import gldpc.cli
+
+        def no_rows(*args):
+            raise AssertionError("a row was computed")
+
+        monkeypatch.setattr(gldpc.cli.bounds, "even_coef_convergence", no_rows)
+        err = run_fast(["coef-convergence", spec_path("alldeg2_spc3.json"), "--j", str(MAX_J),
+                        "--n-list", ",".join(["22947"] * (MAX_N_LIST + 1)),
+                        "--out", str(tmp_path / "x.csv")], capsys)
+        assert (f"--n-list: {MAX_N_LIST + 1} block lengths, more than the cap of "
+                f"{MAX_N_LIST}") in err
 
     def test_j_cap_is_inclusive(self, tmp_path):
         out = tmp_path / "c.csv"

@@ -224,6 +224,7 @@ class TestTrialSeeds:
     @example(base=2**32, first=7, count=2)
     @example(base=2**64, first=0, count=12)
     @example(base=2**128 + 1, first=2**31, count=5)
+    @example(base=10**4299, first=2**32 - 2, count=2)  # the longest --seed: 447 words
     @settings(max_examples=60, deadline=None)
     def test_words_match_numpy(self, base, first, count):
         from gldpc.sampler import _seed_words
@@ -232,6 +233,30 @@ class TestTrialSeeds:
         want = [np.random.SeedSequence(trial_seed(base, i)).generate_state(4, np.uint64)
                 for i in range(first, first + count)]
         assert np.array_equal(_seed_words(base, first, count), want)
+
+    @given(words=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=12),
+           wide=st.integers(0, 11), column=st.lists(st.integers(0, 2**32 - 1), min_size=1,
+                                                    max_size=6),
+           n_words=st.integers(1, 12))
+    @example(words=[5], wide=0, column=[0, 1, 2**32 - 1], n_words=1)
+    @example(words=[0] * 12, wide=11, column=[7, 2**31], n_words=12)
+    @example(words=[1, 2, 3, 4, 5], wide=2, column=[9, 8, 7, 6], n_words=8)
+    @settings(max_examples=60, deadline=None)
+    def test_kernel_matches_numpy(self, words, wide, column, n_words):
+        """`_state(_pool(...))` is SeedSequence(words).generate_state: entropy word
+        wide % len(words) takes each value of column in turn, one per trial, and the
+        other words are one-element arrays broadcast against it."""
+        from gldpc.sampler import _pool, _state
+
+        wide %= len(words)
+        rows = [np.array([w], np.uint32) for w in words]
+        rows[wide] = np.array(column, np.uint32)
+        got = _state(_pool(rows), n_words)
+        assert got.shape == (n_words, len(column)) and got.dtype == np.uint32
+        for trial, value in enumerate(column):
+            entropy = np.array(words[:wide] + [value] + words[wide + 1:], np.uint32)
+            want = np.random.SeedSequence(entropy).generate_state(n_words, np.uint32)
+            assert np.array_equal(got[:, trial], want)
 
     @given(base=BASE_SEEDS, block=st.integers(1, 6), trials=st.integers(1, 20))
     @example(base=0, block=4, trials=9)
