@@ -36,8 +36,6 @@ from .growth import (
     find_critical_ratio,
     growth_rate,
     gv_relative_distance,
-    tilt_for_edge_weight,
-    tilted_edge_weight,
     two_type_sweep,
 )
 from .polywef import (

@@ -79,8 +79,7 @@ def _analyze_report(spec: SpecFile) -> Dict[str, Any]:
     view = spec.vn_regular
     if view is not None:
         rate = ensemble.design_rate(view)
-        # no scanned point is printed, so the scan stops at the root
-        curve = growth._critical_ratios([view], keep_scan=False)[0]
+        curve = growth.find_critical_ratio(view)
         block: Dict[str, Any] = {
             "q": view.q,
             "design_rate": _tagged(rate, "1 - q * (1 - sum_t rho_t k_t / s_t)"),
@@ -235,7 +234,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
     }
     warnings: List[str] = []
     if isinstance(view, ensemble.VnRegularEnsemble):
-        curve = growth._critical_ratios([view], keep_scan=False)[0]
+        curve = growth.find_critical_ratio(view)
         record["reference"] = {
             "critical_ratio": curve.critical_ratio,
             "verdict": curve.verdict,

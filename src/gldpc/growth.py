@@ -57,7 +57,7 @@ _EXP_ZERO = -745.2
 
 @dataclass(frozen=True)
 class GrowthCurve:
-    """Sampled growth-rate curve plus the located critical weight ratio.
+    """The located critical weight ratio of a growth-rate curve.
 
     critical_ratio is the smallest positive root of the growth rate when a
     sign change was located (root_located True). When the growth rate stays
@@ -66,18 +66,10 @@ class GrowthCurve:
     Solver diagnostics: bracket is the final interval in relative weight
     around a located root and residual the growth rate at the reported
     ratio (both None when no root was located); sign_changes counts the
-    sign changes of the scanned curve, ignoring values within rounding
-    error of zero. A verdict decided analytically comes with no scan:
-    rel_weights and growth are empty and sign_changes is 0. A curve from
-    the root-only search (what analyze, sweep and sample print) has the
-    same ratio, verdict, bracket and residual as find_critical_ratio's,
-    but empty rel_weights and growth, and sign_changes counts only what
-    its scan saw, which ends at the first positive point: 1 when a root
-    is located, else 0.
+    sign changes the scan saw up to its first positive point, ignoring
+    values within rounding error of zero: 1 when a root is located, else 0.
     """
 
-    rel_weights: Tuple[float, ...]
-    growth: Tuple[float, ...]
     critical_ratio: Optional[float]
     verdict: str
     root_located: bool
@@ -239,16 +231,6 @@ def _bracketed_newton(f, lo: np.ndarray, hi: np.ndarray, tol):
     return lo, hi
 
 
-def tilted_edge_weight(m: CnMixture, z: float) -> float:
-    """Mean local-codeword weight per edge at exponential tilt z.
-
-    Strictly increasing in z, from 0 up to edge_weight_limit(m).
-    """
-    if z <= 0:
-        raise ValueError(f"tilt must be positive, got {z}")
-    return float(_tilt_curve(_weights(m), np.array([math.log(z)]))[1][0])
-
-
 def _log_tilt_for(m: CnMixture, alpha: np.ndarray) -> np.ndarray:
     """Log-tilts t with alpha(t) = alpha, elementwise, by safeguarded Newton."""
     weights = _weights(m)
@@ -261,16 +243,6 @@ def _log_tilt_for(m: CnMixture, alpha: np.ndarray) -> np.ndarray:
         f, np.full(alpha.shape, _LOG_Z_LO), np.full(alpha.shape, _LOG_Z_HI), _TILT_TOL
     )
     return 0.5 * (lo + hi)
-
-
-def tilt_for_edge_weight(m: CnMixture, alpha: float) -> float:
-    """Inverse of tilted_edge_weight."""
-    limit = edge_weight_limit(m)
-    if not 0 < alpha < limit:
-        raise ValueError(
-            f"target weight fraction must lie in (0, {limit}), got {alpha}"
-        )
-    return math.exp(float(_log_tilt_for(m, np.array([alpha]))[0]))
 
 
 def growth_rate_grid(spec: VnRegularEnsemble, alphas: Sequence[float]) -> np.ndarray:
@@ -311,29 +283,22 @@ def _scan_ends(weights: Dict[CheckNodeType, float]) -> Tuple[float, float]:
     return min(lows), max(highs)
 
 
-def _critical_ratios(specs: Sequence[VnRegularEnsemble],
-                     keep_scan: bool) -> List[GrowthCurve]:
+def _critical_ratios(specs: Sequence[VnRegularEnsemble]) -> List[GrowthCurve]:
     """find_critical_ratio of each spec, from one scan and one refinement.
 
     Each CN type's tilt curve is evaluated on one grid of evenly spaced
     log-tilts. The grid spans every spec's _scan_ends and is at least as
     fine as _SCAN_POINTS points across the narrowest span; each spec reads
     the points within its own span, with its own weights, rounding floor
-    and VN degree. The grid is walked in increasing t, a block of rows at
-    a time, and each block is scored for all open specs at once, a slice
-    of at most about _SCAN_POINTS (spec, point) cells at a time. Every
-    point is computed on its own, so the walk changes no bit of any point.
-
-    keep_scan: whether each curve carries its scanned points. With it,
-    every spec is scanned to the end of its span, and the grid is one
-    block, which _type_curve splits by its own budget. Without it, a spec
-    closes at its first positive point (or the end of its span), and the
-    walk stops after the block in which the last spec closes. Its blocks
-    are _block_rows rows for all the batch's nonzero WEF weights together,
-    so each type's table of exponents in a block is one _type_curve block.
-    The curve then holds no points, and sign_changes counts the changes
-    the scan saw up to its first positive point: 1 when a root is
-    located, else 0.
+    and VN degree. The grid is walked in increasing t, in blocks of
+    _block_rows rows for all the batch's nonzero WEF weights together, so
+    each type's table of exponents in a block is one _type_curve block.
+    Each block is scored for all open specs at once, a slice of at most
+    about _SCAN_POINTS (spec, point) cells at a time. A spec closes at its
+    first positive point (or the end of its span), and the walk stops
+    after the block in which the last spec closes. Every point is computed
+    on its own, so neither the blocks nor the batch change a bit of any
+    point.
 
     Then all brackets are refined in one call, each to its own tolerance,
     so callers pass at most _SCAN_POINTS specs to keep every other buffer
@@ -345,8 +310,8 @@ def _critical_ratios(specs: Sequence[VnRegularEnsemble],
     scanned = []
     for p, spec in enumerate(specs):
         if spec.q == 2 and weight_two_density_exact(spec.mixture) >= 1:
-            curves[p] = GrowthCurve(rel_weights=(), growth=(), critical_ratio=None,
-                                    verdict=VERDICT_NOT_EXISTS, root_located=False)
+            curves[p] = GrowthCurve(critical_ratio=None, verdict=VERDICT_NOT_EXISTS,
+                                    root_located=False)
         else:
             scanned.append(p)
     if not scanned:
@@ -375,9 +340,8 @@ def _critical_ratios(specs: Sequence[VnRegularEnsemble],
     pos, neg = np.full(len(scanned), -1), np.full(len(scanned), -1)
     a_pos, a_neg = np.zeros(len(scanned)), np.zeros(len(scanned))
     not_neg = np.zeros(len(scanned), dtype=bool)
-    points: List[list] = [[] for _ in scanned]  # (alpha, G, sign) pieces, keep_scan only
     open_ = np.arange(len(scanned))
-    block = t.size if keep_scan else _block_rows(sum(_log_table(cn)[0].size for cn in types))
+    block = _block_rows(sum(_log_table(cn)[0].size for cn in types))
     for r0 in range(0, t.size, block):
         if not open_.size:
             break
@@ -400,55 +364,36 @@ def _critical_ratios(specs: Sequence[VnRegularEnsemble],
             # last negative row before that (-1: none)
             j = np.where(up.any(axis=1), a + up.argmax(axis=1), b)
             i = np.where(down & (r < j[:, None]), r, -1).max(axis=1)
-            fresh = pos[o] < 0
-            got = fresh & (i >= 0)
+            # an open spec has no positive row yet
+            got = i >= 0
             neg[o[got]], a_neg[o[got]] = i[got], alpha[got, i[got] - a]
-            got = fresh & (j < b)
+            got = j < b
             pos[o[got]], a_pos[o[got]] = j[got], alpha[got, j[got] - a]
             not_neg[o] |= (inside & ~down).any(axis=1)
-            if keep_scan:
-                sign = up.astype(int) - down
-                for m, n in enumerate(o):
-                    part = slice(max(lo[n], a) - a, min(hi[n], b) - a)
-                    points[n].append((alpha[m, part], g[m, part], sign[m, part]))
-            closed = hi[o] <= b
-            if not keep_scan:
-                closed |= pos[o] >= 0
-            open_ = o[~closed]
+            open_ = o[(hi[o] > b) & (pos[o] < 0)]
             a = b
 
-    rows, brackets, scans = [], [], []
+    rows, brackets = [], []
     for n, p in enumerate(scanned):
-        spec = specs[p]
-        located = pos[n] >= 0 and neg[n] >= 0
-        if keep_scan:
-            alpha, g, sign = (np.concatenate(x) for x in zip(*points[n]))
-            signed = sign[sign != 0]
-            scan = dict(rel_weights=tuple(alpha.tolist()), growth=tuple(g.tolist()),
-                        sign_changes=int(np.count_nonzero(signed[1:] != signed[:-1])))
-        else:
-            scan = dict(rel_weights=(), growth=(), sign_changes=int(located))
         if pos[n] < 0 and not not_neg[n]:
             curves[p] = GrowthCurve(
-                **scan,
-                critical_ratio=edge_weight_limit(spec.mixture),
+                critical_ratio=edge_weight_limit(specs[p].mixture),
                 verdict=VERDICT_EXISTS,
                 root_located=False,
             )
             continue
-        if not located:
+        if pos[n] < 0 or neg[n] < 0:
             # G is within rounding error of 0 wherever it could change sign,
             # so neither a root nor decay can be certified; report that, not
             # a guess
-            curves[p] = GrowthCurve(**scan, critical_ratio=None,
-                                    verdict=VERDICT_NO_SIGN_CHANGE, root_located=False)
+            curves[p] = GrowthCurve(critical_ratio=None, verdict=VERDICT_NO_SIGN_CHANGE,
+                                    root_located=False)
             continue
         i, j = neg[n], pos[n]
         # tolerance in t that makes the final bracket about _ROOT_TOL wide in alpha
         tol = _ROOT_TOL * (t[j] - t[i]) / (a_pos[n] - a_neg[n])
         rows.append(n)
         brackets.append((t[i], t[j], tol))
-        scans.append(scan)
     if not rows:
         return curves
 
@@ -464,14 +409,14 @@ def _critical_ratios(specs: Sequence[VnRegularEnsemble],
     (a_lo, a_hi), (g_lo, g_hi) = np.split(ends_a, 2), np.split(ends_g, 2)
     root = lo - g_lo * (hi - lo) / (g_hi - g_lo)
     a_root, g_root = at(root)[:2]
-    for m, (n, scan) in enumerate(zip(rows, scans)):
+    for m, n in enumerate(rows):
         curves[scanned[n]] = GrowthCurve(
-            **scan,
             critical_ratio=float(a_root[m]),
             verdict=VERDICT_EXISTS,
             root_located=True,
             bracket=(float(a_lo[m]), float(a_hi[m])),
             residual=float(g_root[m]),
+            sign_changes=1,
         )
     return curves
 
@@ -479,9 +424,9 @@ def _critical_ratios(specs: Sequence[VnRegularEnsemble],
 def find_critical_ratio(spec: VnRegularEnsemble) -> GrowthCurve:
     """Locate the smallest positive root of the growth rate.
 
-    The curve is scanned on _SCAN_POINTS log-tilts, evenly
-    spaced between the points where alpha is 1e-9 above zero and 1e-9 below
-    its limit (even steps in t are log-spaced in alpha near both ends). A
+    The curve is scanned on _SCAN_POINTS log-tilts, evenly spaced between
+    the points where alpha is 1e-9 above zero and 1e-9 below its limit
+    (even steps in t are log-spaced in alpha near both ends). A
     scanned value counts as signed only when it clears the rounding-error
     floor of the terms it is summed from; the root is bracketed by the last
     negative and first positive value and refined by safeguarded Newton in
@@ -497,14 +442,10 @@ def find_critical_ratio(spec: VnRegularEnsemble) -> GrowthCurve:
     no negative-to-positive change clears the floor otherwise, the verdict
     is no_sign_change_found and the ratio None.
 
-    The curve carries every scanned point, and sign_changes counts the
-    sign changes over the whole domain. The root-only search the CLI uses
-    (_critical_ratios without keep_scan) stops after the block of the scan
-    that holds the first positive point; its ratio, verdict, bracket and
-    residual are the same bits, but it carries no points and counts only
-    the sign change it saw (see GrowthCurve).
+    The scan is walked in increasing t and stops after the block that holds
+    the first positive value; this is _critical_ratios on a batch of one.
     """
-    return _critical_ratios([spec], keep_scan=True)[0]
+    return _critical_ratios([spec])[0]
 
 
 @dataclass(frozen=True)
@@ -543,8 +484,7 @@ def two_type_sweep(
             types, rho = zip(*((cn, r) for cn, r in ((type_a, rho1), (type_b, 1 - rho1))
                                if r))
             specs.append(VnRegularEnsemble(mixture=CnMixture(types=types, rho=rho), q=q))
-        for g, rho1, spec, curve in zip(part, rho1s, specs,
-                                        _critical_ratios(specs, keep_scan=False)):
+        for g, rho1, spec, curve in zip(part, rho1s, specs, _critical_ratios(specs)):
             rate = design_rate(spec)
             points.append(SweepPoint(
                 gamma1=float(g),

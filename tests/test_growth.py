@@ -24,14 +24,15 @@ from gldpc.growth import (
     _bracketed_newton,
     _critical_ratios,
     _growth_curve,
+    _log_tilt_for,
+    _scan_ends,
+    _tilt_curve,
     _type_curve,
     _weights,
     edge_weight_limit,
     find_critical_ratio,
     growth_rate,
     gv_relative_distance,
-    tilt_for_edge_weight,
-    tilted_edge_weight,
     two_type_sweep,
 )
 from gldpc.specfile import load_spec_file
@@ -57,44 +58,39 @@ def node_mixture(type_a, type_b, gamma1):
     return mixture_of(*((t, r) for t, r in ((type_a, rho1), (type_b, 1 - rho1)) if r))
 
 
+def edge_weight(m, t):
+    """The tilted mean weight per edge alpha of m at the log-tilt t."""
+    return _tilt_curve(_weights(m), np.array([t]))[1][0]
+
+
 class TestTiltedWeight:
     def test_hand_value_at_one(self, spc3_mixture):
-        assert tilted_edge_weight(spc3_mixture, 1.0) == pytest.approx(0.5, abs=1e-14)
+        assert edge_weight(spc3_mixture, 0.0) == pytest.approx(0.5, abs=1e-14)
 
     def test_vanishes_at_zero(self, spc3_mixture):
-        assert tilted_edge_weight(spc3_mixture, 1e-12) == pytest.approx(0.0, abs=1e-20)
+        assert edge_weight(spc3_mixture, math.log(1e-12)) == pytest.approx(0.0, abs=1e-20)
 
     def test_saturates_at_degree_limit(self, spc3_mixture):
         assert edge_weight_limit(spc3_mixture) == pytest.approx(2 / 3)
-        assert tilted_edge_weight(spc3_mixture, 1e9) == pytest.approx(2 / 3, abs=1e-12)
-
-    def test_rejects_nonpositive_tilt(self, spc3_mixture):
-        with pytest.raises(ValueError):
-            tilted_edge_weight(spc3_mixture, 0.0)
+        assert edge_weight(spc3_mixture, math.log(1e9)) == pytest.approx(2 / 3, abs=1e-12)
 
     @given(st.floats(-4, 4), st.floats(0.01, 2.0))
     @settings(max_examples=60, deadline=None)
     def test_strictly_increasing(self, spc3, ham7, log_z, gap):
         m = mixture_of((spc3, "1/2"), (ham7, "1/2"))
-        z1, z2 = 10.0 ** log_z, 10.0 ** log_z * (1 + gap)
-        assert tilted_edge_weight(m, z1) < tilted_edge_weight(m, z2)
+        t = log_z * math.log(10)
+        assert edge_weight(m, t) < edge_weight(m, t + math.log1p(gap))
 
     def test_inverse_hand_value(self, spc3_mixture):
-        assert tilt_for_edge_weight(spc3_mixture, 0.5) == pytest.approx(1.0, rel=1e-10)
+        assert _log_tilt_for(spc3_mixture, np.array([0.5]))[0] == pytest.approx(0.0, abs=1e-10)
 
     @given(st.floats(-4, 4))
     @settings(max_examples=60, deadline=None)
     def test_inverse_round_trip(self, spc3, ham15, log_z):
         m = mixture_of((spc3, "1/3"), (ham15, "2/3"))
-        z = 10.0 ** log_z
-        alpha = tilted_edge_weight(m, z)
-        assert tilted_edge_weight(m, tilt_for_edge_weight(m, alpha)) == pytest.approx(
-            alpha, abs=1e-12
-        )
-
-    def test_inverse_domain_error_reports_limit(self, spc3_mixture):
-        with pytest.raises(ValueError, match="0.666"):
-            tilt_for_edge_weight(spc3_mixture, 0.68)
+        alpha = edge_weight(m, log_z * math.log(10))
+        t = _log_tilt_for(m, np.array([alpha]))[0]
+        assert edge_weight(m, t) == pytest.approx(alpha, abs=1e-12)
 
 
 class TestGrowthRate:
@@ -155,6 +151,30 @@ class TestGrowthRate:
             )
 
 
+def plain_scan(spec, t=None):
+    """t, alpha, G and the rounding floor of G at the points of the grid t
+    inside spec's scan ends (default: its own _SCAN_POINTS-point grid),
+    every point evaluated: the reference for _critical_ratios' block walk."""
+    weights = _weights(spec.mixture)
+    ends = _scan_ends(weights)
+    if t is None:
+        t = np.linspace(*ends, _SCAN_POINTS)
+    t = t[(ends[0] <= t) & (t <= ends[1])]
+    alpha, g, _, floor = _growth_curve(weights, spec.q, t)
+    return t, alpha, g, floor
+
+
+def plain_bracket(spec, t=None):
+    """(t[i], t[j]) of plain_scan: j is the first point with G > floor and i
+    the last point before j with G < -floor. None when either is missing."""
+    t, _, g, floor = plain_scan(spec, t)
+    up = np.flatnonzero(g > floor)
+    if not up.size:
+        return None
+    down = np.flatnonzero(g[:up[0]] < -floor[:up[0]])
+    return (float(t[down[-1]]), float(t[up[0]])) if down.size else None
+
+
 class TestCriticalRatio:
     def test_gallager_3_6_root(self, gallager_3_6):
         curve = find_critical_ratio(gallager_3_6)
@@ -166,14 +186,12 @@ class TestCriticalRatio:
     def test_root_is_a_root(self, gallager_3_6):
         curve = find_critical_ratio(gallager_3_6)
         assert abs(growth_rate(gallager_3_6, curve.critical_ratio)) <= 1e-10
-        below = [g for a, g in zip(curve.rel_weights, curve.growth)
-                 if a < curve.critical_ratio]
-        assert all(g < 0 for g in below)
+        _, alpha, g, _ = plain_scan(gallager_3_6)
+        assert (g[alpha < curve.critical_ratio] < 0).all()
 
     def test_grid_inside_domain(self, gallager_3_6):
-        curve = find_critical_ratio(gallager_3_6)
         limit = edge_weight_limit(gallager_3_6.mixture)
-        ws = curve.rel_weights
+        ws = plain_scan(gallager_3_6)[1].tolist()
         assert len(ws) == _SCAN_POINTS
         assert all(0 < w < limit for w in ws)
         assert all(a < b for a, b in zip(ws, ws[1:]))
@@ -234,7 +252,7 @@ class TestCriticalRatio:
         assert curve.critical_ratio == pytest.approx(
             edge_weight_limit(spec.mixture)
         )
-        assert all(g < 0 for g in curve.growth)
+        assert (plain_scan(spec)[2] < 0).all()
 
 
 class TestSweep:
@@ -577,34 +595,51 @@ def vn_regular_corpus():
     return views, types
 
 
-def root_fields(curve):
-    """The fields a root-only search must share with the full scan, floats as hex."""
-    def hexed(x):
-        return None if x is None else float(x).hex()
-    return (hexed(curve.critical_ratio),
-            None if curve.bracket is None else tuple(map(hexed, curve.bracket)),
-            hexed(curve.residual), curve.verdict, curve.root_located)
+def shared_grid(specs):
+    """The t-grid _critical_ratios scans for a batch of scanned specs: from
+    the lowest to the highest scan end, at least _SCAN_POINTS points across
+    the narrowest span."""
+    ends = np.array([_scan_ends(_weights(spec.mixture)) for spec in specs])
+    first, last = ends[:, 0].min(), ends[:, 1].max()
+    spans = (last - first) / (ends[:, 1] - ends[:, 0]).min()
+    return np.linspace(first, last, math.ceil((_SCAN_POINTS - 1) * spans) + 1)
 
 
-def assert_root_only_matches(specs):
-    """_critical_ratios without its scan gives the full scan's root bit for bit."""
-    roots = _critical_ratios(specs, keep_scan=False)
-    full = _critical_ratios(specs, keep_scan=True)
-    for root, curve in zip(roots, full):
-        assert root_fields(root) == root_fields(curve)
-        assert root.rel_weights == root.growth == ()
-        assert root.sign_changes == int(root.root_located)
-    return roots
+@pytest.fixture
+def brackets(monkeypatch):
+    """Every (lo, hi) in t that the root search hands to _bracketed_newton."""
+    seen = []
+
+    def recording(f, lo, hi, tol):
+        seen.extend(zip(lo.tolist(), hi.tolist()))
+        return _bracketed_newton(f, lo, hi, tol)
+
+    monkeypatch.setattr(growth, "_bracketed_newton", recording)
+    return seen
+
+
+def assert_plain_brackets(specs, curves, got, batch=True):
+    """The walk refined exactly the brackets of a plain scan of each spec:
+    on the batch's shared grid, or with batch False on each spec's own."""
+    assert all(curve.sign_changes == int(curve.root_located) for curve in curves)
+    scanned = [(spec, curve) for spec, curve in zip(specs, curves)
+               if curve.verdict != VERDICT_NOT_EXISTS]
+    t = shared_grid([spec for spec, _ in scanned]) if batch and scanned else None
+    want = []
+    for spec, curve in scanned:
+        bracket = plain_bracket(spec, t)
+        assert curve.root_located == (bracket is not None)
+        want += [bracket] if bracket else []
+    assert got == want
 
 
 class TestRootOnlyScan:
     @pytest.mark.parametrize("q", [2, 3, 4])
-    def test_corpus_roots_match_full_scan(self, q):
+    def test_corpus_roots_match_full_scan(self, brackets, q):
         views, _ = vn_regular_corpus()
-        for view in views:
-            spec = VnRegularEnsemble(mixture=view.mixture, q=q)
-            (root,) = assert_root_only_matches([spec])
-            assert root_fields(root) == root_fields(find_critical_ratio(spec))
+        specs = [VnRegularEnsemble(mixture=view.mixture, q=q) for view in views]
+        curves = [find_critical_ratio(spec) for spec in specs]
+        assert_plain_brackets(specs, curves, brackets, batch=False)
 
     @pytest.mark.parametrize("copies", [3, 21])
     def test_batch_of_copies_matches_alone(self, copies):
@@ -615,11 +650,9 @@ class TestRootOnlyScan:
         for view in views:
             spec = VnRegularEnsemble(mixture=view.mixture, q=3)
             alone = find_critical_ratio(spec)
-            assert _critical_ratios([spec] * copies, keep_scan=True) == [alone] * copies
-            (root,) = _critical_ratios([spec], keep_scan=False)
-            assert _critical_ratios([spec] * copies, keep_scan=False) == [root] * copies
+            assert _critical_ratios([spec] * copies) == [alone] * copies
 
-    def test_verdict_paths_match_full_scan(self, ham7):
+    def test_verdict_paths_match_full_scan(self, brackets, ham7):
         # located roots, a saturated ratio, and near-cycle codes whose growth
         # rate is rounding noise (no_sign_change_found), in one batch
         specs = [VnRegularEnsemble(mixture=CnMixture.of([ham7], [1]), q=3)]
@@ -627,18 +660,21 @@ class TestRootOnlyScan:
             rho = 1 - Fraction(1, 10 ** k)
             specs.append(VnRegularEnsemble(
                 mixture=mixture_of((CheckNodeType.spc(2), rho), (ham7, 1 - rho)), q=2))
-        verdicts = {c.verdict for c in assert_root_only_matches(specs)}
-        assert verdicts == {VERDICT_EXISTS, VERDICT_NO_SIGN_CHANGE}
+        curves = _critical_ratios(specs)
+        assert_plain_brackets(specs, curves, brackets)
+        assert {c.verdict for c in curves} == {VERDICT_EXISTS, VERDICT_NO_SIGN_CHANGE}
 
     @pytest.mark.parametrize("q", [2, 3])
-    def test_sweeps_match_full_scan(self, monkeypatch, q):
+    def test_sweeps_match_full_scan(self, monkeypatch, brackets, q):
         _, types = vn_regular_corpus()
-        batches = []
+        search, batches = growth._critical_ratios, []
 
-        def checked(specs, keep_scan):
-            assert not keep_scan
+        def checked(specs):
             batches.append(len(specs))
-            return assert_root_only_matches(specs)
+            brackets.clear()
+            curves = search(specs)
+            assert_plain_brackets(specs, curves, brackets)
+            return curves
 
         monkeypatch.setattr(growth, "_critical_ratios", checked)
         grid = [Fraction(i, 20) for i in range(21)]
@@ -657,6 +693,5 @@ class TestRootOnlyScan:
 
         monkeypatch.setattr(growth, "_type_curve", counting)
         # the root sits at row 380 of 2200; the count includes the refinement's
-        (root,) = _critical_ratios([spec], keep_scan=False)
-        assert root.root_located
+        assert find_critical_ratio(spec).root_located
         assert sum(rows) <= _SCAN_POINTS // 3

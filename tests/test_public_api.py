@@ -48,8 +48,6 @@ PUBLIC_NAMES = [
     "product_pow_coef",
     "sample_unstructured",
     "sample_vn_regular",
-    "tilt_for_edge_weight",
-    "tilted_edge_weight",
     "two_type_sweep",
     "validate_finite_instance",
     "wef_from_parity_matrix",
