@@ -309,10 +309,15 @@ class TestSample:
         assert outputs[0] == outputs[1] == outputs[2]
 
     # records written by an earlier release, whose sampler stored each CN as a
-    # tuple of VNs: a change of representation must draw the same graphs
+    # tuple of VNs: a change of representation must draw the same graphs. The
+    # last three pin the exact-distance search: a word found at or below the
+    # threshold, a lower bound above it, one information set and several
     @pytest.mark.parametrize("spec,n,trials,alpha", [
         ("bound_mix", "147", "200", "0.02"),
         ("hamming7_q2", "140", "4", "0.18"),
+        ("hamming15_q2", "60", "4", "0.1"),
+        ("mixed_spc3_hamming7_q2", "84", "4", "0.1"),
+        ("explicit_type", "52", "4", "0.1"),
     ])
     def test_golden_records(self, tmp_path, spec, n, trials, alpha):
         out = tmp_path / "sample.json"
