@@ -4,7 +4,10 @@ One tagged XOR basis serves both eliminations: `row_reduce` (and so `rank`) read
 stored vectors as echelon rows, and `nullspace_basis` the tags of the columns that
 reduce to 0. `span_weight_histogram` walks a whole span; `min_weight` finds its least
 nonzero weight from light messages over disjoint information sets, each split off by
-one Gauss–Jordan pass.
+one Gauss–Jordan pass, one weight at a time over every set: once weight w is done,
+an unseen codeword weighs at least m(w + 1) on m sets. Both, and `transpose`, pack
+rows by one `_words` into little-endian uint64 words, so the popcount of a packed
+codeword is its weight.
 """
 
 from __future__ import annotations
@@ -100,6 +103,13 @@ def nullspace_basis(columns: Iterable[int], max_dim: int) -> List[int]:
     return basis
 
 
+def _words(rows: Sequence[int], n_words: int) -> np.ndarray:
+    """The rows as little-endian uint64 words, (len(rows), n_words); word j of a row
+    holds its columns 64j to 64j + 63."""
+    return np.frombuffer(b"".join(r.to_bytes(8 * n_words, "little") for r in rows),
+                         dtype="<u8").reshape(len(rows), n_words)
+
+
 def _low_rows(n_words: int) -> int:
     """Rows of the span walk's low table: the most whose 2^lo words fit a buffer."""
     return max(0, (_WALK_BUFFER_BYTES // (9 * n_words + 10)).bit_length() - 1)
@@ -110,8 +120,7 @@ def span_weight_histogram(basis: Sequence[int], n_cols: int) -> List[int]:
     combinations of the low rows (uint64 words, built by doubling) is XORed with
     each combination of the high rows, in Gray-code order, and popcounts binned."""
     k, n_words = len(basis), max(1, -(-n_cols // 64))
-    rows = np.frombuffer(b"".join(b.to_bytes(8 * n_words, "little") for b in basis),
-                         dtype="<u8").reshape(k, n_words).T
+    rows = _words(basis, n_words).T
     lo = min(k, _low_rows(n_words))
     low = np.zeros((n_words, 1 << lo), np.uint64)
     for i in range(lo):
@@ -127,18 +136,12 @@ def span_weight_histogram(basis: Sequence[int], n_cols: int) -> List[int]:
     return hist.tolist()
 
 
-def _bits(rows: Sequence[int], n_cols: int) -> np.ndarray:
-    """The rows as a (len(rows), n_cols) array of 0/1 bytes."""
-    n_bytes = -(-n_cols // 8)
-    packed = np.frombuffer(b"".join(r.to_bytes(n_bytes, "little") for r in rows), np.uint8)
-    return np.unpackbits(packed.reshape(len(rows), n_bytes), axis=1, count=n_cols,
-                         bitorder="little")
-
-
 def transpose(rows: Sequence[int], n_cols: int) -> List[int]:
     """Column c of `rows` as an int over the rows (bit i = row i), for each c < n_cols."""
-    size = -(-len(rows) // 8)
-    cols = np.packbits(_bits(rows, n_cols), axis=0, bitorder="little").T.tobytes()
+    size, n_words = -(-len(rows) // 8), max(1, -(-n_cols // 64))
+    bits = np.unpackbits(_words(rows, n_words).view(np.uint8), axis=1, count=n_cols,
+                         bitorder="little")
+    cols = np.packbits(bits, axis=0, bitorder="little").T.tobytes()
     return [int.from_bytes(cols[c * size:(c + 1) * size], "little") for c in range(n_cols)]
 
 
@@ -175,20 +178,6 @@ def _information_sets(basis: Sequence[int], n_cols: int,
     return sets, gens
 
 
-def _outside_words(sets: List[List[int]], gens: List[List[int]], n_cols: int) -> np.ndarray:
-    """Each generator's rows without its own set's columns, as uint64 words
-    (n_words, sets, rows)."""
-    m, k = len(sets), len(sets[0])
-    outside = np.ones((m, n_cols), bool)
-    outside[np.arange(m)[:, None], sets] = False
-    bits = _bits([row for g in gens for row in g], n_cols).reshape(m, k, n_cols)
-    packed = np.packbits(bits[np.broadcast_to(outside[:, None], bits.shape)]
-                         .reshape(m, k, n_cols - k), axis=2, bitorder="little")
-    n_words = max(1, -(-packed.shape[2] // 8))
-    packed = np.pad(packed, ((0, 0), (0, 0), (0, 8 * n_words - packed.shape[2])))
-    return packed.view("<u8").transpose(2, 0, 1).copy()
-
-
 class _Subsets:
     """The XORs of every w rows of each generator in `rows` (n_words, sets, k),
     in colexicographic order, so that the w-subsets of the first r rows are the
@@ -201,9 +190,9 @@ class _Subsets:
         self.rows, self.cap, self.keep = rows, cap, keep
         self.levels = [np.zeros(rows.shape[:2] + (1,), np.uint64), rows]
 
-    def words(self, w: int, sets: slice, r: Optional[int] = None):
-        """Chunks (n_words, len(sets), at most cap) of the w-subsets of the first
-        r rows (of all rows by default) of the given sets."""
+    def words(self, w: int, r: Optional[int] = None):
+        """Chunks (n_words, sets, at most cap) of the w-subsets of the first r rows
+        (of all rows by default)."""
         k = self.rows.shape[2]
         total = math.comb(k if r is None else r, w)
         kept = sum(level.shape[2] for level in self.levels)
@@ -214,23 +203,17 @@ class _Subsets:
                                ^ self.rows[..., np.repeat(np.arange(k), counts)])
         if w < len(self.levels):
             for i in range(0, total, self.cap):
-                yield self.levels[w][:, sets, i:min(i + self.cap, total)]
+                yield self.levels[w][..., i:min(i + self.cap, total)]
             return
         for last in range(w - 1, k if r is None else r):
-            for chunk in self.words(w - 1, sets, last):
-                yield chunk ^ self.rows[:, sets, last, None]
+            for chunk in self.words(w - 1, last):
+                yield chunk ^ self.rows[..., last, None]
 
 
 #: Walk words that one word enumerated by `min_weight` costs in time: 4 to 5.5
 #: ns a uint64 word against the walk's 2 to 2.7 ns, on random bases with n from
 #: 300 to 4000 that the search runs to its hand-over (2-vCPU x86 VM).
 _SEARCH_WORD_COST = 2
-
-
-def _least_weight(hist: Sequence[int]) -> Union[int, float]:
-    """The least nonzero weight with a nonzero count in a weight histogram, or
-    math.inf if only weight 0 has one."""
-    return next((w for w in range(1, len(hist)) if hist[w]), math.inf)
 
 
 def min_weight(basis: Sequence[int], n_cols: int,
@@ -246,18 +229,20 @@ def min_weight(basis: Sequence[int], n_cols: int,
     split: m sets alone prove a least weight of at least m.
 
     With m disjoint information sets, every message of weight w is sent through
-    each set's systematic generator, for w = 1, 2, ...: its codeword weighs w on
-    the set plus the popcount of the other columns. Once j sets are done at
-    weight w, a codeword not yet seen has more than w ones on each of those and
-    at least w on the others, so a least weight found of at most mw + j is the
-    answer. A message is split into its halves over the low and high rows,
-    whose subset tables are XORed pairwise into one reused buffer. A word
-    enumerated costs about _SEARCH_WORD_COST walk words, so when the next step
-    would bring the search's cost past 2^k walk words, `span_weight_histogram`
-    finishes instead. Buffers stay within a few times _WALK_BUFFER_BYTES.
+    each set's systematic generator, for w = 1, 2, ..., all m sets in one batch.
+    The generators' rows are whole codewords in uint64 words, so a popcount is
+    a codeword's weight. Once weight w is done for every set, a codeword not yet
+    seen has more than w ones on each set and so weighs at least m(w + 1): a
+    least weight found of at most that is the answer. A message is split into
+    its halves over the low and high rows, whose subset tables are XORed
+    pairwise into one reused buffer. A word enumerated costs about
+    _SEARCH_WORD_COST walk words, so when the next weight would bring the
+    search's cost past 2^k walk words, `span_weight_histogram` finishes instead.
+    Buffers stay within a few times _WALK_BUFFER_BYTES.
     """
-    # a set's bits take r n bytes for r rows; with more sets than 2^r over r
-    # times the word cost, weight 1 alone would cost more than the walk
+    # a set's rows take about r n / 8 bytes, packed or as ints, so the sets take
+    # at most an eighth of a buffer; with more sets than 2^r over r times the
+    # word cost, weight 1 alone would cost more than the walk
     r = max(1, len(basis))
     max_sets = max(1, min(_WALK_BUFFER_BYTES // (r * max(1, n_cols)),
                           (1 << r) // (r * _SEARCH_WORD_COST),
@@ -265,8 +250,9 @@ def min_weight(basis: Sequence[int], n_cols: int,
     sets, gens = _information_sets(basis, n_cols, max_sets)
     if not sets:
         return math.inf
-    stack = _outside_words(sets, gens, n_cols)
-    (n_words, m, k), best, words = stack.shape, math.inf, 0
+    m, k, n_words = len(sets), len(sets[0]), max(1, -(-n_cols // 64))
+    stack = _words([row for g in gens for row in g], n_words).reshape(m, k, n_words)
+    stack, best, words = stack.transpose(2, 0, 1).copy(), math.inf, 0
     # a word of weight <= enough, or a lower bound above beyond, settles the query
     enough, beyond = (0, math.inf) if at_most is None else (at_most, at_most)
     size = max(_WALK_BUFFER_BYTES // 8, m * n_words)
@@ -276,33 +262,30 @@ def min_weight(basis: Sequence[int], n_cols: int,
     half = k // 2
     low, high = (_Subsets(part, cap, cap // 2) for part in np.split(stack, [half], axis=2))
     for w in range(1, k + 1):
-        # one set at a time once the bound may pass mid-weight, else all at once
-        group = 1 if min(best, beyond + 1) < m * (w + 1) else m
-        for j in range(0, m, group):
-            if best <= m * w + j or beyond < m * w + j:
-                return min(best, m * w + j)
-            words += group * math.comb(k, w)
-            if words * _SEARCH_WORD_COST > 1 << k:
-                return _least_weight(span_weight_histogram(gens[0], n_cols))
-            batch = slice(j, j + group)
-            for a in range(max(0, w - (k - half)), min(w, half) + 1):
-                # the larger table goes last, as numpy's inner loop
-                pair = [(low, a), (high, w - a)]
-                if math.comb(half, a) > math.comb(k - half, w - a):
-                    pair.reverse()
-                (outer, i), (inner, i2) = pair
-                for x in outer.words(i, batch):
-                    for y in inner.words(i2, batch):
-                        step = max(1, size // y.size)
-                        for s in range(0, x.shape[2], step):
-                            xs = x[:, :, s:s + step, None]
-                            shape = xs.shape[:3] + y.shape[2:]
-                            both = np.bitwise_xor(xs, y[:, :, None, :],
-                                                  out=xors[:math.prod(shape)].reshape(shape))
-                            ones = np.bitwise_count(both, out=counts[:both.size].reshape(shape))
-                            best = min(best, w + int(ones.sum(0, dtype=weight_type).min()))
-                            if best <= enough:
-                                return best
+        if best <= m * w or beyond < m * w:
+            return min(best, m * w)
+        words += m * math.comb(k, w)
+        if words * _SEARCH_WORD_COST > 1 << k:
+            hist = span_weight_histogram(gens[0], n_cols)
+            return next((d for d in range(1, len(hist)) if hist[d]), math.inf)
+        for a in range(max(0, w - (k - half)), min(w, half) + 1):
+            # the larger table goes last, as numpy's inner loop
+            pair = [(low, a), (high, w - a)]
+            if math.comb(half, a) > math.comb(k - half, w - a):
+                pair.reverse()
+            (outer, i), (inner, i2) = pair
+            for x in outer.words(i):
+                for y in inner.words(i2):
+                    step = max(1, size // y.size)
+                    for s in range(0, x.shape[2], step):
+                        xs = x[:, :, s:s + step, None]
+                        shape = xs.shape[:3] + y.shape[2:]
+                        both = np.bitwise_xor(xs, y[:, :, None, :],
+                                              out=xors[:math.prod(shape)].reshape(shape))
+                        ones = np.bitwise_count(both, out=counts[:both.size].reshape(shape))
+                        best = min(best, int(ones.sum(0, dtype=weight_type).min()))
+                        if best <= enough:
+                            return best
     return best
 
 

@@ -113,12 +113,16 @@ def parse_spec_dict(doc: Dict[str, Any]) -> SpecFile:
     if lam_raw is not None:
         if not isinstance(lam_raw, dict) or not lam_raw:
             raise SpecFileError("lambda: expected a non-empty object degree -> fraction")
-        lam = {}
+        lam, keys = {}, {}
         for key, val in lam_raw.items():
             try:
                 d = int(key)
             except ValueError as exc:
                 raise SpecFileError(f"lambda key {key!r}: not an integer degree") from exc
+            if d in keys:
+                raise SpecFileError(f"lambda keys {keys[d]!r} and {key!r} both spell "
+                                    f"degree {d}")
+            keys[d] = key
             try:
                 lam[d] = to_fraction(val)
             except (ValueError, TypeError, ZeroDivisionError) as exc:

@@ -85,6 +85,23 @@ class TestSpecFiles:
         single = load_spec_file(spec_path("spc3_q2.json"))
         assert single.unstructured is None and single.vn_regular.q == 2
 
+    # the later key used to replace the earlier one: {"2": "1", "02": "1"} loaded
+    # as lambda_2 = 1, and two halves failed as "must sum to 1 ... got 0.5"
+    @pytest.mark.parametrize("first,second,val", [
+        ("2", "02", "1"), ("2", "02", "1/2"), ("2", " 2", "1/2"), ("2", "+2", "1/2"),
+        ("3", "03", "1/4"),
+    ])
+    def test_lambda_keys_spelling_one_degree_exit_2(self, tmp_path, capsys,
+                                                    first, second, val):
+        lam = {first: val, second: val}
+        if first != "2":
+            lam["2"] = "1/2"
+        p = tmp_path / "dup.json"
+        p.write_text(json.dumps({"cn_types": [{"kind": "spc", "s": 3}], "rho": ["1"],
+                                 "lambda": lam}))
+        err = run_fast(["analyze", str(p)], capsys)
+        assert f"lambda keys {first!r} and {second!r} both spell degree {int(first)}" in err
+
     def test_needs_some_vn_view(self, tmp_path):
         doc = {"cn_types": [{"kind": "spc", "s": 3}], "rho": ["1"]}
         p = tmp_path / "noview.json"

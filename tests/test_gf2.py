@@ -3,6 +3,7 @@ independent column-scanning elimination on sampled stacked matrices; the numpy
 span walk against a bigint Gray-code walk."""
 
 import functools
+import itertools
 import math
 import random
 import tracemalloc
@@ -126,6 +127,17 @@ def test_nullspace_basis_from_columns(mat):
         with pytest.raises(gf2.DimensionLimitError) as err:
             gf2.nullspace_basis(cols, k - 1)
         assert (err.value.dim, err.value.limit) == (k, k - 1)
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 128])
+def test_transpose_matches_bit_by_bit(n):
+    rng = random.Random(n)
+    for k in (0, 1, 7, 8, 9, 64, 65):
+        rows = [rng.getrandbits(n) for _ in range(k)]
+        if rows:
+            rows[-1] |= 1 << (n - 1)
+        assert gf2.transpose(rows, n) == transposed(rows, n, range(n))
+    assert gf2.transpose([], n) == [0] * n
 
 
 @settings(max_examples=300, deadline=None)
@@ -287,6 +299,27 @@ def test_span_walk_memory_within_budget(k, n):
         tracemalloc.stop()
     assert hist == gray_span_weight_histogram(rows, n)
     assert peak <= 2 * gf2._WALK_BUFFER_BYTES
+
+
+def test_subset_tables_in_colex_order():
+    # unit rows, so a subset's XOR is its own mask: set 0 in word 0, set 1 in word 1;
+    # levels 0 to 2 fit keep (1 + 9 + 36 subsets), level 3 does not, and chunks of 5
+    # cut the kept levels
+    k, cap = 9, 5
+    rows = np.zeros((2, 2, k), np.uint64)
+    for i in range(k):
+        rows[0, 0, i], rows[1, 1, i] = 1 << i, 1 << (k + i)
+    tables = gf2._Subsets(rows, cap, 1 + k + math.comb(k, 2))
+    for w in range(k + 1):
+        for r in range(k + 1):
+            chunks = list(tables.words(w, None if r == k else r))
+            assert all(c.shape[:2] == (2, 2) and 0 < c.shape[2] <= cap for c in chunks)
+            words = np.concatenate(chunks, axis=2) if chunks else np.zeros((2, 2, 0), np.uint64)
+            assert not words[1, 0].any() and not words[0, 1].any()
+            assert np.array_equal(words[1, 1], words[0, 0] << np.uint64(k))
+            colex = sorted(itertools.combinations(range(r), w), key=lambda c: c[::-1])
+            assert words[0, 0].tolist() == [sum(1 << i for i in c) for c in colex]
+    assert len(tables.levels) == 3
 
 
 def least_weight(hist):
