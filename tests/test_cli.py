@@ -111,7 +111,22 @@ class TestSpecFiles:
 
 
 class TestParityRows:
-    """Explicit parity rows are bit strings; any other row exits 2 naming the field."""
+    """Parity rows, given as bit strings or built for a Hamming type, are checked:
+    a bad one exits 2 naming the field."""
+
+    @pytest.mark.parametrize("entry,message", [
+        ({"kind": "hamming", "s": 6},
+         "cn_types[0]: invalid Hamming length 6: s + 1 must be a power of two"),
+        ({"kind": "explicit", "s": 4, "parity": ["1021"]},
+         "cn_types[0].parity: invalid bit character '2' in '1021'"),
+        ({"kind": "explicit", "s": 4, "parity": ["101"]},
+         "cn_types[0].parity: row '101' has length 3, expected 4"),
+    ], ids=["hamming-length", "bit-character", "row-length"])
+    def test_bad_type_exits_2(self, tmp_path, capsys, entry, message):
+        p = tmp_path / "type.json"
+        p.write_text(json.dumps({"cn_types": [entry], "rho": ["1"], "q": 2}))
+        err = run_fast(["analyze", str(p)], capsys)
+        assert f"error: {p}: {message}\n" == err
 
     @pytest.mark.parametrize("row", [3, [1, 1, 0, 0], [True, True, False, False]],
                              ids=["number", "array", "booleans"])
