@@ -27,9 +27,13 @@ MAX_J = 100
 #: Most --n-list entries coef-convergence accepts; a longer list exits 2 before any row
 #: is computed. A row at j = MAX_J costs 0.02 s (alldeg2_spc3, n = 22 947, the largest
 #: whose limit is finite), 0.1 s (bound_mix, n = 73 500) and 0.57 s (Hamming-7 with
-#: lambda_3 = 1, n = 7e12; a zero limit admits any n) on a 2-vCPU VM, so a full list
-#: of the slowest of these takes about a minute.
+#: lambda_3 = 1, n = 7e12; a zero limit admits any n up to MAX_COEF_N) on a 2-vCPU
+#: VM, so a full list of the slowest of these takes about a minute.
 MAX_N_LIST = 100
+#: Largest --n-list entry; a larger one exits 2 before any row is computed. A row at
+#: j = MAX_J of Hamming-7 with lambda_3 = 1 takes 0.14, 0.57, 1.4 and 4.7 s at n = 7e6,
+#: 7e12, 7e20 and 7e30 (2-vCPU VM): the cap keeps the slowest row near 0.57 s.
+MAX_COEF_N = 10**13
 #: Largest sample --n; a trial's column pass grows about as n^2.1 where k <= 28 (2-vCPU
 #: VM, SPC-3 q = 3, one row per column: 0.1-0.2 s at n = 6000, 5.5-6.9 s and 180 MB peak
 #: at n = 30 000, the edge cap). No (3,6) trial is reduced, at any threshold.
@@ -59,7 +63,8 @@ def _tagged(value: Any, formula: str) -> Dict[str, Any]:
     return {"value": value, "formula": formula}
 
 
-def _analyze_report(spec: SpecFile) -> Dict[str, Any]:
+def cmd_analyze(args: argparse.Namespace) -> int:
+    spec = load_spec_file(args.spec)
     m = spec.mixture
     report: Dict[str, Any] = {
         "cn_types": [
@@ -111,12 +116,6 @@ def _analyze_report(spec: SpecFile) -> Dict[str, Any]:
                 "formula": "1 / sqrt(1 - lambda'(0) * weight2_density) - 1",
             },
         }
-    return report
-
-
-def cmd_analyze(args: argparse.Namespace) -> int:
-    spec = load_spec_file(args.spec)
-    report = _analyze_report(spec)
     _write_text(args.out, json.dumps(report, indent=2) + "\n")
     return 0
 
@@ -272,6 +271,9 @@ def cmd_coef_convergence(args: argparse.Namespace) -> int:
     if len(n_list) > MAX_N_LIST:
         raise SpecFileError(f"--n-list: {len(n_list)} block lengths, more than the cap "
                             f"of {MAX_N_LIST}")
+    for n in n_list:
+        if n > MAX_COEF_N:
+            raise SpecFileError(f"--n-list: {n} is more than the cap of {MAX_COEF_N}")
     rows = bounds.even_coef_convergence(view, args.j, n_list)
     lines = ["n,cn_total,edges,j,exact_coef,limit_value,ratio"]
     for r in rows:
@@ -323,7 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--j", type=int, required=True,
                    help=f"half the target weight, at most {MAX_J}")
     p.add_argument("--n-list", required=True,
-                   help=f"comma-separated block lengths, at most {MAX_N_LIST}")
+                   help=f"comma-separated block lengths, at most {MAX_N_LIST}, "
+                        f"each at most {MAX_COEF_N}")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_coef_convergence)
 

@@ -111,11 +111,23 @@ class CheckNodeType:
 
     @classmethod
     def spc(cls, s: int) -> "CheckNodeType":
-        return cls(s=s, parity=tuple(gf2.all_ones_row(s)))
+        return cls(s=s, parity=((1 << s) - 1,))
 
     @classmethod
     def hamming(cls, s: int) -> "CheckNodeType":
-        return cls(s=s, parity=tuple(gf2.hamming_parity(s)))
+        """The length-s Hamming code: column j (1-based) of its parity-check matrix is
+        j in binary, so s must be 2^m - 1 with m >= 2."""
+        m = (s + 1).bit_length() - 1
+        if s < 3 or (1 << m) != s + 1:
+            raise ValueError(f"invalid Hamming length {s}: s + 1 must be a power of two")
+        rows = []
+        for i in range(m):
+            r = 0
+            for j in range(1, s + 1):
+                if (j >> i) & 1:
+                    r |= 1 << (j - 1)
+            rows.append(r)
+        return cls(s=s, parity=tuple(rows))
 
     @classmethod
     def explicit(cls, rows: Sequence[int], n_cols: int) -> "CheckNodeType":
@@ -237,10 +249,6 @@ def degree_two_edge_fraction(spec: UnstructuredEnsemble) -> float:
     return 0.0
 
 
-def vns_per_edge_exact(spec: UnstructuredEnsemble) -> Fraction:
-    return sum((f / d for d, f in spec.lam), Fraction(0))
-
-
 @dataclass(frozen=True, eq=False)
 class CnLayout:
     """The check side of a finite code: the type of each CN, in socket order.
@@ -318,7 +326,7 @@ def validate_finite_instance(
         rules = [(f"per-layer count of type-{i} CNs (n*rho_t/s_t)", c)
                  for i, c in enumerate(per_edge)]
     else:  # counts scale with edges = n / int(lambda)
-        edges_per_vn = 1 / vns_per_edge_exact(spec)
+        edges_per_vn = 1 / sum((f / d for d, f in spec.lam), Fraction(0))
         rules = [("edge count (n / int lambda)", edges_per_vn)]
         rules += [(f"count of degree-{d} VNs", f / d * edges_per_vn) for d, f in spec.lam]
         rules += [(f"count of type-{i} CNs (E*rho_t/s_t)", c * edges_per_vn)

@@ -36,17 +36,6 @@ class DimensionLimitError(ValueError):
         )
 
 
-def parse_bits(bits: str) -> int:
-    """Bitmask from a string like '1101' (first character = column 0)."""
-    mask = 0
-    for i, ch in enumerate(bits):
-        if ch == "1":
-            mask |= 1 << i
-        elif ch != "0":
-            raise ValueError(f"invalid bit character {ch!r} in {bits!r}")
-    return mask
-
-
 def _xor_basis(vectors: Iterable[int]) -> Tuple[Dict[int, Tuple[int, int]], List[int]]:
     """(stored, zeros): an XOR basis of the vectors keyed by bit length, and the
     tags of the vectors that reduce to 0.
@@ -110,18 +99,14 @@ def _words(rows: Sequence[int], n_words: int) -> np.ndarray:
                          dtype="<u8").reshape(len(rows), n_words)
 
 
-def _low_rows(n_words: int) -> int:
-    """Rows of the span walk's low table: the most whose 2^lo words fit a buffer."""
-    return max(0, (_WALK_BUFFER_BYTES // (9 * n_words + 10)).bit_length() - 1)
-
-
 def span_weight_histogram(basis: Sequence[int], n_cols: int) -> List[int]:
     """Hamming-weight histogram of the span of `basis`: a numpy table of the XOR
     combinations of the low rows (uint64 words, built by doubling) is XORed with
     each combination of the high rows, in Gray-code order, and popcounts binned."""
     k, n_words = len(basis), max(1, -(-n_cols // 64))
     rows = _words(basis, n_words).T
-    lo = min(k, _low_rows(n_words))
+    # the low table's rows: the most whose 2^lo words fit a buffer
+    lo = min(k, max(0, (_WALK_BUFFER_BYTES // (9 * n_words + 10)).bit_length() - 1))
     low = np.zeros((n_words, 1 << lo), np.uint64)
     for i in range(lo):
         np.bitwise_xor(low[:, :1 << i], rows[:, i, None], out=low[:, 1 << i:2 << i])
@@ -287,39 +272,3 @@ def min_weight(basis: Sequence[int], n_cols: int,
                         if best <= enough:
                             return best
     return best
-
-
-def all_ones_row(s: int) -> List[int]:
-    """Parity-check matrix of the length-s single parity check code."""
-    return [(1 << s) - 1]
-
-
-def hamming_parity(s: int) -> List[int]:
-    """Standard parity-check matrix of the length-s Hamming code.
-
-    Column j (1-based) is the binary representation of j, so s must be
-    2^m - 1 with m >= 2.
-    """
-    m = (s + 1).bit_length() - 1
-    if s < 3 or (1 << m) != s + 1:
-        raise ValueError(f"invalid Hamming length {s}: s + 1 must be a power of two")
-    rows = []
-    for i in range(m):
-        r = 0
-        for j in range(1, s + 1):
-            if (j >> i) & 1:
-                r |= 1 << (j - 1)
-        rows.append(r)
-    return rows
-
-
-def matrix_from_rows(rows: Iterable[str], n_cols: int) -> List[int]:
-    """Bitmask rows from bit strings of length n_cols (see `parse_bits`)."""
-    out = []
-    for i, row in enumerate(rows):
-        if not isinstance(row, str):
-            raise ValueError(f"row {i}: expected a bit string, got {type(row).__name__}")
-        if len(row) != n_cols:
-            raise ValueError(f"row {row!r} has length {len(row)}, expected {n_cols}")
-        out.append(parse_bits(row))
-    return out

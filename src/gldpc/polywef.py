@@ -17,8 +17,6 @@ from .gf2 import DimensionLimitError
 
 IntPoly = Tuple[int, ...]
 
-ONE: IntPoly = (1,)
-
 #: Largest code/dual dimension wef_from_parity_matrix will enumerate.
 ENUMERATION_LIMIT = 30
 
@@ -55,7 +53,7 @@ def poly_pow(a: Sequence[int], n: int, trunc: Optional[int] = None) -> IntPoly:
     """n-th power by binary exponentiation; a**0 == (1,)."""
     if n < 0:
         raise ValueError("exponent must be nonnegative")
-    result: IntPoly = ONE
+    result: IntPoly = (1,)
     base = poly_normalize(a) if trunc is None else poly_normalize(a[: trunc + 1])
     while n:
         if n & 1:

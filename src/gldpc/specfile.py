@@ -22,7 +22,6 @@ import json
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
-from . import gf2
 from .ensemble import (
     CheckNodeType,
     CnMixture,
@@ -74,7 +73,20 @@ def _parse_cn_type(entry: Dict[str, Any], idx: int) -> CheckNodeType:
         if not isinstance(parity, list) or not parity:
             raise SpecFileError(f"{where}.parity: expected a list of bit strings")
         try:
-            rows = gf2.matrix_from_rows(parity, s)
+            rows = []  # bit strings of length s, first character = column 0
+            for i, row in enumerate(parity):
+                if not isinstance(row, str):
+                    raise ValueError(f"row {i}: expected a bit string, "
+                                     f"got {type(row).__name__}")
+                if len(row) != s:
+                    raise ValueError(f"row {row!r} has length {len(row)}, expected {s}")
+                mask = 0
+                for c, ch in enumerate(row):
+                    if ch == "1":
+                        mask |= 1 << c
+                    elif ch != "0":
+                        raise ValueError(f"invalid bit character {ch!r} in {row!r}")
+                rows.append(mask)
             return CheckNodeType.explicit(rows, s)
         except ValueError as exc:
             raise SpecFileError(f"{where}.parity: {exc}") from exc
@@ -89,19 +101,25 @@ def parse_spec_dict(doc: Dict[str, Any]) -> SpecFile:
     raw_types = doc.get("cn_types")
     if not isinstance(raw_types, list) or not raw_types:
         raise SpecFileError("cn_types: expected a non-empty list")
-    types = [_parse_cn_type(e, i) for i, e in enumerate(raw_types)]
+    built: Dict[Any, CheckNodeType] = {}
+    types = []
+    for i, entry in enumerate(raw_types):
+        # identical entries share one type, so its WEF is derived once
+        try:
+            key = json.dumps(entry, sort_keys=True)
+        except (TypeError, ValueError):  # not JSON data: parsed on its own
+            key = i
+        if key not in built:
+            built[key] = _parse_cn_type(entry, i)
+        types.append(built[key])
     raw_rho = doc.get("rho")
     if not isinstance(raw_rho, list) or len(raw_rho) != len(types):
         raise SpecFileError(
             f"rho: expected a list of {len(types)} fractions matching cn_types"
         )
     try:
-        rho = [to_fraction(r) for r in raw_rho]
+        mixture = CnMixture.of(types, raw_rho)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
-        raise SpecFileError(f"rho: {exc}") from exc
-    try:
-        mixture = CnMixture.of(types, rho)
-    except ValueError as exc:
         raise SpecFileError(f"rho: {exc}") from exc
 
     q, vn_regular, unstructured = doc.get("q"), None, None

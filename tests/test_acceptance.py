@@ -13,7 +13,6 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from gldpc import gf2
 from gldpc.bounds import (
     even_coef_convergence,
     min_distance_prob_bound,
@@ -127,7 +126,7 @@ def test_a1_wef_goldens():
         assert h7.coeffs == (1, 0, 0, 7, 7, 0, 0, 1)
         # exhaustive enumeration of the (7,4) code
         hist = [0] * 8
-        rows = gf2.hamming_parity(7)
+        rows = CheckNodeType.hamming(7).parity
         for v in range(1 << 7):
             if all((r & v).bit_count() % 2 == 0 for r in rows):
                 hist[v.bit_count()] += 1

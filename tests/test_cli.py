@@ -7,8 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from gldpc.cli import (MAX_GRID_POINTS, MAX_J, MAX_N, MAX_N_LIST, MAX_TRIALS, _fmt,
-                       _parse_grid, main)
+from gldpc.cli import (MAX_COEF_N, MAX_GRID_POINTS, MAX_J, MAX_N, MAX_N_LIST,
+                       MAX_TRIALS, _fmt, _parse_grid, main)
 from gldpc.ensemble import (
     MAX_DECIMAL_EXPONENT,
     CheckNodeType,
@@ -101,6 +101,21 @@ class TestSpecFiles:
                                  "lambda": lam}))
         err = run_fast(["analyze", str(p)], capsys)
         assert f"lambda keys {first!r} and {second!r} both spell degree {int(first)}" in err
+
+    def test_identical_types_derive_one_wef(self, monkeypatch):
+        import gldpc.polywef
+
+        derive, calls = gldpc.polywef.wef_from_parity_matrix, []
+        monkeypatch.setattr(gldpc.polywef, "wef_from_parity_matrix",
+                            lambda rows, n_cols: calls.append(n_cols) or derive(rows, n_cols))
+        entry = {"kind": "explicit", "s": 4, "parity": ["1100", "0011"]}
+        reordered = {"parity": ["1100", "0011"], "s": 4, "kind": "explicit"}
+        not_json = {"kind": "spc", "s": 3, "note": {1, 2}}  # a set has no JSON form
+        spec = parse_spec_dict({"cn_types": [entry, dict(entry), reordered, not_json,
+                                             not_json], "rho": ["1/5"] * 5, "q": 2})
+        assert calls == [4, 3, 3]
+        a, b, c, d, e = spec.mixture.types
+        assert a is b is c and d == e and d is not e
 
     def test_needs_some_vn_view(self, tmp_path):
         doc = {"cn_types": [{"kind": "spc", "s": 3}], "rho": ["1"]}
@@ -547,9 +562,6 @@ class TestCoefConvergence:
         ("100", "30000", "j=100) at 60000 edges exceeds the float range"),
         ("200", "30", f"--j: 200 is more than the cap of {MAX_J}"),
         ("3000", "30000", f"--j: 3000 is more than the cap of {MAX_J}"),
-        # the edge count itself is past the float range, not only the limit
-        pytest.param("2", str(3 * 10**400), f"j=2) at {6 * 10**400} edges exceeds the "
-                     "float range", id="edges-beyond-float"),
     ])
     def test_large_j_exits_2(self, tmp_path, capsys, j, n_list, message):
         err = run_fast(["coef-convergence", spec_path("alldeg2_spc3.json"), "--j", j,
@@ -574,6 +586,31 @@ class TestCoefConvergence:
                         "--out", str(tmp_path / "x.csv")], capsys)
         assert (f"--n-list: {MAX_N_LIST + 1} block lengths, more than the cap of "
                 f"{MAX_N_LIST}") in err
+
+    # a row's cost grows with log n: at the old 4300-digit limit of int() alone,
+    # one row could take many seconds
+    @pytest.mark.parametrize("n", [MAX_COEF_N + 1, 3 * 10**400],
+                             ids=["just-over", "edges-beyond-float"])
+    def test_n_over_cap_exits_2_before_any_row(self, tmp_path, capsys, monkeypatch, n):
+        import gldpc.cli
+
+        def no_rows(*args):
+            raise AssertionError("a row was computed")
+
+        monkeypatch.setattr(gldpc.cli.bounds, "even_coef_convergence", no_rows)
+        err = run_fast(["coef-convergence", spec_path("alldeg2_spc3.json"), "--j", "2",
+                        "--n-list", f"30,{n}", "--out", str(tmp_path / "x.csv")], capsys)
+        assert f"--n-list: {n} is more than the cap of {MAX_COEF_N}" in err
+
+    def test_n_cap_is_inclusive(self, tmp_path, monkeypatch):
+        import gldpc.cli
+
+        seen = []
+        monkeypatch.setattr(gldpc.cli.bounds, "even_coef_convergence",
+                            lambda view, j, n_list: seen.extend(n_list) or [])
+        assert run(["coef-convergence", spec_path("alldeg2_spc3.json"), "--j", "2",
+                    "--n-list", str(MAX_COEF_N), "--out", str(tmp_path / "x.csv")]) == 0
+        assert seen == [MAX_COEF_N]
 
     def test_j_cap_is_inclusive(self, tmp_path):
         out = tmp_path / "c.csv"

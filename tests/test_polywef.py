@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gldpc import gf2
+from gldpc.ensemble import CheckNodeType
 from gldpc.gf2 import DimensionLimitError
 from gldpc.polywef import (
     Wef,
@@ -125,7 +125,7 @@ class TestWefConstructors:
     def test_spc_sum_and_parity_oracle(self, s):
         w = wef_spc(s)
         assert sum(w.coeffs) == 1 << (s - 1)
-        assert w == wef_from_parity_matrix(gf2.all_ones_row(s), s)
+        assert w == wef_from_parity_matrix(CheckNodeType.spc(s).parity, s)
 
     def test_spc_rejects_short(self):
         with pytest.raises(ValueError):
@@ -135,7 +135,7 @@ class TestWefConstructors:
         assert wef_hamming(7).coeffs == (1, 0, 0, 7, 7, 0, 0, 1)
 
     def test_hamming7_matches_exhaustive_enumeration(self):
-        hist = enumerate_wef(gf2.hamming_parity(7), 7)
+        hist = enumerate_wef(CheckNodeType.hamming(7).parity, 7)
         assert wef_hamming(7).coeffs == hist
 
     def test_hamming15_min_distance(self):
@@ -151,7 +151,8 @@ class TestWefConstructors:
 
     @pytest.mark.parametrize("s", [3, 7, 15, 127, 511, 1023])
     def test_hamming_matches_parity_enumeration(self, s):
-        assert wef_hamming(s) == wef_from_parity_matrix(gf2.hamming_parity(s), s)
+        assert wef_hamming(s) == wef_from_parity_matrix(
+            CheckNodeType.hamming(s).parity, s)
 
     def test_invariants_enforced(self):
         with pytest.raises(ValueError):
@@ -186,7 +187,7 @@ class TestParityMatrix:
 
     def test_dual_enumeration_route(self):
         # dimension 57 code: only the 6-dimensional dual is enumerable
-        w = wef_from_parity_matrix(gf2.hamming_parity(63), 63)
+        w = wef_from_parity_matrix(CheckNodeType.hamming(63).parity, 63)
         assert w == wef_hamming(63)
 
 
