@@ -587,8 +587,7 @@ class TestCoefConvergence:
         assert (f"--n-list: {MAX_N_LIST + 1} block lengths, more than the cap of "
                 f"{MAX_N_LIST}") in err
 
-    # a row's cost grows with log n: at the old 4300-digit limit of int() alone,
-    # one row could take many seconds
+    # a row's cost grows with log n, so one large entry alone could take many seconds
     @pytest.mark.parametrize("n", [MAX_COEF_N + 1, 3 * 10**400],
                              ids=["just-over", "edges-beyond-float"])
     def test_n_over_cap_exits_2_before_any_row(self, tmp_path, capsys, monkeypatch, n):
