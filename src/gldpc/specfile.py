@@ -101,17 +101,7 @@ def parse_spec_dict(doc: Dict[str, Any]) -> SpecFile:
     raw_types = doc.get("cn_types")
     if not isinstance(raw_types, list) or not raw_types:
         raise SpecFileError("cn_types: expected a non-empty list")
-    built: Dict[Any, CheckNodeType] = {}
-    types = []
-    for i, entry in enumerate(raw_types):
-        # identical entries share one type, so its WEF is derived once
-        try:
-            key = json.dumps(entry, sort_keys=True)
-        except (TypeError, ValueError):  # not JSON data: parsed on its own
-            key = i
-        if key not in built:
-            built[key] = _parse_cn_type(entry, i)
-        types.append(built[key])
+    types = [_parse_cn_type(e, i) for i, e in enumerate(raw_types)]
     raw_rho = doc.get("rho")
     if not isinstance(raw_rho, list) or len(raw_rho) != len(types):
         raise SpecFileError(

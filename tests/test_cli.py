@@ -102,21 +102,6 @@ class TestSpecFiles:
         err = run_fast(["analyze", str(p)], capsys)
         assert f"lambda keys {first!r} and {second!r} both spell degree {int(first)}" in err
 
-    def test_identical_types_derive_one_wef(self, monkeypatch):
-        import gldpc.polywef
-
-        derive, calls = gldpc.polywef.wef_from_parity_matrix, []
-        monkeypatch.setattr(gldpc.polywef, "wef_from_parity_matrix",
-                            lambda rows, n_cols: calls.append(n_cols) or derive(rows, n_cols))
-        entry = {"kind": "explicit", "s": 4, "parity": ["1100", "0011"]}
-        reordered = {"parity": ["1100", "0011"], "s": 4, "kind": "explicit"}
-        not_json = {"kind": "spc", "s": 3, "note": {1, 2}}  # a set has no JSON form
-        spec = parse_spec_dict({"cn_types": [entry, dict(entry), reordered, not_json,
-                                             not_json], "rho": ["1/5"] * 5, "q": 2})
-        assert calls == [4, 3, 3]
-        a, b, c, d, e = spec.mixture.types
-        assert a is b is c and d == e and d is not e
-
     def test_needs_some_vn_view(self, tmp_path):
         doc = {"cn_types": [{"kind": "spc", "s": 3}], "rho": ["1"]}
         p = tmp_path / "noview.json"
