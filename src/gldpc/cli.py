@@ -3,14 +3,22 @@
 Subcommands: analyze, sweep, sample, coef-convergence. Outputs are JSON or
 CSV with fixed schemas ('.' decimals, 12 significant digits). Exit codes:
 0 success, 2 validation error, 3 I/O error.
+
+`main(argv)` returns the exit code and may be called repeatedly in one
+process. It builds its parser once, on the first call, and looks each
+command's function (`cmd_analyze`, `cmd_sweep`, `cmd_sample`,
+`cmd_coef_convergence`) up on this module by name at every call, so a
+replacement assigned to that name later is the one that runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import decimal
+import functools
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 from typing import Any, Dict, List, Optional
@@ -257,6 +265,22 @@ def cmd_sample(args: argparse.Namespace) -> int:
     return 0
 
 
+def _block_length(text: str) -> int:
+    """One --n-list entry; an integer int() refuses for its length is over the cap."""
+    try:
+        return int(text)
+    except ValueError as exc:
+        # int() refuses more than 4300 digits, leading zeros included
+        match = re.fullmatch(r"\s*\+?0*(\d+)\s*", text)
+        if match is None:
+            raise SpecFileError("--n-list: expected comma-separated integers") from exc
+        digits = match[1]
+        if len(digits) > len(str(MAX_COEF_N)):
+            raise SpecFileError(f"--n-list: {digits} is more than the cap of "
+                                f"{MAX_COEF_N}") from exc
+        return int(digits)
+
+
 def cmd_coef_convergence(args: argparse.Namespace) -> int:
     spec = load_spec_file(args.spec)
     view = _select_view(spec, "unstructured", "coef-convergence")
@@ -264,10 +288,9 @@ def cmd_coef_convergence(args: argparse.Namespace) -> int:
         raise SpecFileError(f"--j must be a positive integer, got {args.j}")
     if args.j > MAX_J:
         raise SpecFileError(f"--j: {args.j} is more than the cap of {MAX_J}")
-    try:
-        n_list = [int(x) for x in args.n_list.split(",") if x]
-    except ValueError as exc:
-        raise SpecFileError("--n-list: expected comma-separated integers") from exc
+    n_list = [_block_length(x) for x in args.n_list.split(",") if x]
+    if not n_list:
+        raise SpecFileError("--n-list: expected at least one block length")
     if len(n_list) > MAX_N_LIST:
         raise SpecFileError(f"--n-list: {len(n_list)} block lengths, more than the cap "
                             f"of {MAX_N_LIST}")
@@ -286,7 +309,9 @@ def cmd_coef_convergence(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call; later calls return the same one."""
     parser = argparse.ArgumentParser(
         prog="gldpc",
         description="Minimum-distance analysis of irregular GLDPC code ensembles",
@@ -296,14 +321,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="derived parameters and verdicts as JSON")
     p.add_argument("spec")
     p.add_argument("--out", default=None, help="output path (default stdout)")
-    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("sweep", help="two-type mixture sweep as CSV")
     p.add_argument("spec")
     p.add_argument("--gamma-grid", default="0:1:0.05",
                    help=f"a:b:step node fractions, at most {MAX_GRID_POINTS} points")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("sample", help="Monte Carlo minimum-distance statistics")
     p.add_argument("spec")
@@ -315,7 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ensemble", choices=["vn-regular", "unstructured"],
                    default=None)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser(
         "coef-convergence",
@@ -328,16 +350,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"comma-separated block lengths, at most {MAX_N_LIST}, "
                         f"each at most {MAX_COEF_N}")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_coef_convergence)
 
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except ValueError as exc:  # SpecFileError, DivisibilityError and other bad input
         print(f"error: {exc}", file=sys.stderr)
         return 2

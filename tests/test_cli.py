@@ -586,6 +586,42 @@ class TestCoefConvergence:
                         "--n-list", f"30,{n}", "--out", str(tmp_path / "x.csv")], capsys)
         assert f"--n-list: {n} is more than the cap of {MAX_COEF_N}" in err
 
+    # int() refuses an entry of more than 4300 digits, leading zeros included
+    def test_n_past_int_digit_limit_exits_2_naming_cap(self, tmp_path, capsys,
+                                                        monkeypatch):
+        import gldpc.cli
+
+        def no_rows(*args):
+            raise AssertionError("a row was computed")
+
+        monkeypatch.setattr(gldpc.cli.bounds, "even_coef_convergence", no_rows)
+        n = "1" + "0" * 4300
+        err = run_fast(["coef-convergence", spec_path("alldeg2_spc3.json"), "--j", "2",
+                        "--n-list", f"30,{n}", "--out", str(tmp_path / "x.csv")], capsys)
+        assert f"error: --n-list: {n} is more than the cap of {MAX_COEF_N}\n" == err
+
+    def test_leading_zeros_past_int_digit_limit(self, tmp_path):
+        short, padded = tmp_path / "short.csv", tmp_path / "padded.csv"
+        for n, out in (("30", short), ("0" * 4300 + "30", padded)):
+            assert run(["coef-convergence", spec_path("alldeg2_spc3.json"), "--j", "2",
+                        "--n-list", n, "--out", str(out)]) == 0
+        assert padded.read_text() == short.read_text()
+
+    @pytest.mark.parametrize("n_list", ["", ",", ",,"])
+    def test_empty_n_list_exits_2_before_any_row(self, tmp_path, capsys, monkeypatch,
+                                                  n_list):
+        import gldpc.cli
+
+        def no_rows(*args):
+            raise AssertionError("a row was computed")
+
+        monkeypatch.setattr(gldpc.cli.bounds, "even_coef_convergence", no_rows)
+        out = tmp_path / "x.csv"
+        err = run_fast(["coef-convergence", spec_path("alldeg2_spc3.json"), "--j", "2",
+                        "--n-list", n_list, "--out", str(out)], capsys)
+        assert err == "error: --n-list: expected at least one block length\n"
+        assert not out.exists()
+
     def test_n_cap_is_inclusive(self, tmp_path, monkeypatch):
         import gldpc.cli
 
@@ -606,3 +642,66 @@ class TestCoefConvergence:
         assert run(["coef-convergence", spec_path("spc3_q2.json"),
                     "--j", "1", "--n-list", "3",
                     "--out", str(tmp_path / "x.csv")]) == 2
+
+
+class TestRepeatedCalls:
+    """main may be called many times in one process: the parser is built once,
+    each command is looked up on gldpc.cli by name, and no call changes the next."""
+
+    def test_second_call_builds_no_parser(self, monkeypatch, capsys):
+        import argparse
+
+        argv = ["analyze", spec_path("spc3_q2.json")]
+        assert run(argv) == 0
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        assert run(argv) == 0
+        assert built == []
+
+    def test_command_replaced_after_first_call_runs(self, monkeypatch, capsys):
+        import gldpc.cli
+
+        argv = ["analyze", spec_path("spc3_q2.json")]
+        assert run(argv) == 0
+        seen = []
+
+        def stand_in(args):
+            seen.append(args.spec)
+            return 7
+
+        monkeypatch.setattr(gldpc.cli, "cmd_analyze", stand_in)
+        capsys.readouterr()
+        assert run(argv) == 7
+        assert seen == [argv[1]]
+        assert capsys.readouterr().out == ""
+
+    def test_rejected_call_leaves_no_state(self, capsys):
+        valid = ["sample", spec_path("bound_mix.json"), "--n", "147", "--trials", "20",
+                 "--alpha", "0.02", "--seed", "3", "--out", "-"]
+        assert run(valid) == 0
+        alone = capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            run([a for a in valid if a not in ("--n", "147")])
+        assert exc.value.code == 2
+        rejected = capsys.readouterr()
+        assert rejected.out == "" and rejected.err.startswith("usage: gldpc sample")
+        assert "--n" in rejected.err
+        assert run(valid) == 0
+        assert capsys.readouterr() == alone
+
+    @pytest.mark.parametrize("argv", [["--help"], ["coef-convergence", "--help"]])
+    def test_help_prints_the_same_text_twice(self, capsys, argv):
+        texts = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                run(argv)
+            assert exc.value.code == 0
+            texts.append(capsys.readouterr())
+        assert texts[0] == texts[1]
+        assert texts[0].out.startswith("usage: gldpc") and texts[0].err == ""
